@@ -26,20 +26,22 @@ let size t = Array.length t.slots
 
 let index t pc = pc mod Array.length t.slots
 
-(* Pure tag check: [Some predicted_address] on a hit, no statistics. *)
-let peek t pc =
-  let slot = t.slots.(index t pc) in
-  if slot.tag = pc then Some (Stride_entry.predicted_address slot.entry) else None
+(* Pure tag check, no statistics. *)
+let hit t pc = t.slots.(index t pc).tag = pc
 
-(* Probe at decode: [Some predicted_address] on a tag hit. *)
+(* The predicted address held in [pc]'s slot; a prediction for [pc]
+   only when [hit t pc]. *)
+let predicted_address t pc =
+  Stride_entry.predicted_address t.slots.(index t pc).entry
+
+let peek t pc = if hit t pc then Some (predicted_address t pc) else None
+
+(* The counted decode-stage access: true on a tag hit. *)
 let probe t pc =
   t.probes <- t.probes + 1;
-  let slot = t.slots.(index t pc) in
-  if slot.tag = pc then begin
-    t.hits <- t.hits + 1;
-    Some (Stride_entry.predicted_address slot.entry)
-  end
-  else None
+  let h = hit t pc in
+  if h then t.hits <- t.hits + 1;
+  h
 
 (* Update at the MEM stage with the computed address; allocates or
    replaces the entry on a tag mismatch.  Returns whether a previously

@@ -11,12 +11,21 @@ val create : int -> t
 
 val size : t -> int
 
-val peek : t -> int -> int option
-(** Pure tag check: [Some predicted_address] on a hit.  No statistics;
-    used during issue-cycle search. *)
+val hit : t -> int -> bool
+(** Pure tag check for the load at [pc].  No statistics; used during
+    issue-cycle search. *)
 
-val probe : t -> int -> int option
-(** Like {!peek} but counts a probe (the decode-stage access). *)
+val predicted_address : t -> int -> int
+(** The predicted address in [pc]'s slot; a prediction for [pc] only
+    when [hit t pc]. *)
+
+val peek : t -> int -> int option
+(** [Some predicted_address] on a tag hit; pure, like {!hit}. *)
+
+val probe : t -> int -> bool
+(** The decode-stage access: like {!hit}, but counts a probe, and a
+    hit on a tag match.  The pipeline makes one per load it routes to
+    the table, at the load's issue cycle. *)
 
 val update : t -> int -> int -> bool
 (** [update t pc ca]: feed the computed address at the MEM stage;

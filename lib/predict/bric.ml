@@ -11,44 +11,65 @@
    value yet). *)
 
 type t =
-  { capacity : int
-  ; mutable resident : (int * int) list  (* (register, valid_from_cycle), MRU first *)
+  { regs : int array  (* resident registers, MRU first: slots [0, count) *)
+  ; valid_from : int array  (* parallel to [regs] *)
+  ; mutable count : int
   ; mutable probes : int
   ; mutable hits : int
   ; mutable evictions : int }
 
 let create capacity =
   if capacity <= 0 then invalid_arg "Bric.create";
-  { capacity; resident = []; probes = 0; hits = 0; evictions = 0 }
+  { regs = Array.make capacity 0
+  ; valid_from = Array.make capacity 0
+  ; count = 0
+  ; probes = 0
+  ; hits = 0
+  ; evictions = 0 }
+
+(* Slot holding [reg], or -1. *)
+let find t reg =
+  let i = ref 0 in
+  while !i < t.count && t.regs.(!i) <> reg do
+    incr i
+  done;
+  if !i < t.count then !i else -1
+
+(* Shift slots [0, i) down one and put ([reg], [valid_from]) at the MRU
+   slot 0; slot [i]'s old contents are overwritten. *)
+let push_front t i reg valid_from =
+  Array.blit t.regs 0 t.regs 1 i;
+  Array.blit t.valid_from 0 t.valid_from 1 i;
+  t.regs.(0) <- reg;
+  t.valid_from.(0) <- valid_from
 
 (* Pure hit test: resident with a usable value, no side effects. *)
 let peek t ~cycle reg =
-  match List.assoc_opt reg t.resident with
-  | Some valid_from -> cycle >= valid_from
-  | None -> false
+  let i = find t reg in
+  i >= 0 && cycle >= t.valid_from.(i)
 
 (* Probe for [reg] at [cycle]; allocates on miss (the entry's value
    becomes usable next cycle, after the register file is read).
    Returns true when the register was resident with a usable value. *)
 let probe t ~cycle reg =
   t.probes <- t.probes + 1;
-  match List.assoc_opt reg t.resident with
-  | Some valid_from ->
+  let i = find t reg in
+  if i >= 0 then begin
     (* refresh LRU position *)
-    t.resident <- (reg, valid_from) :: List.remove_assoc reg t.resident;
+    let valid_from = t.valid_from.(i) in
+    push_front t i reg valid_from;
     let usable = cycle >= valid_from in
     if usable then t.hits <- t.hits + 1;
     usable
-  | None ->
-    let trimmed =
-      if List.length t.resident >= t.capacity then begin
-        t.evictions <- t.evictions + 1;
-        List.filteri (fun i _ -> i < t.capacity - 1) t.resident
-      end
-      else t.resident
-    in
-    t.resident <- (reg, cycle + 1) :: trimmed;
+  end
+  else begin
+    let capacity = Array.length t.regs in
+    if t.count >= capacity then t.evictions <- t.evictions + 1
+    else t.count <- t.count + 1;
+    (* the LRU slot [count - 1] is either free or the victim *)
+    push_front t (t.count - 1) reg (cycle + 1);
     false
+  end
 
 let hit_rate t =
   if t.probes = 0 then 0. else float_of_int t.hits /. float_of_int t.probes
@@ -59,9 +80,11 @@ let stats t = { br_probes = t.probes; br_hits = t.hits; br_evictions = t.evictio
 
 (* --- fault-injection hooks (lib/verify) ------------------------------ *)
 
-let flush t = t.resident <- []
+let flush t = t.count <- 0
 
 let delay t ~until =
-  t.resident <- List.map (fun (reg, vf) -> (reg, max vf until)) t.resident
+  for i = 0 to t.count - 1 do
+    t.valid_from.(i) <- max t.valid_from.(i) until
+  done
 
-let resident_count t = List.length t.resident
+let resident_count t = t.count

@@ -33,11 +33,9 @@ let predict t pc =
    prediction was correct (same direction, and same target if taken). *)
 let update t pc ~taken ~target =
   let slot = t.slots.(index t pc) in
-  let p =
-    if slot.tag = pc then { pred_taken = slot.counter >= 2; pred_target = slot.target }
-    else { pred_taken = false; pred_target = pc + 1 }
-  in
-  let correct = p.pred_taken = taken && ((not taken) || p.pred_target = target) in
+  (* the {!predict} outcome, unboxed: a miss predicts not-taken *)
+  let pred_taken = slot.tag = pc && slot.counter >= 2 in
+  let correct = pred_taken = taken && ((not taken) || slot.target = target) in
   if not correct then t.mispredictions <- t.mispredictions + 1;
   if slot.tag = pc then begin
     slot.counter <-

@@ -8,30 +8,30 @@
    through its scoreboard (the R_addr interlock term). *)
 
 type t =
-  { mutable bound : int option
+  { mutable bound : int  (* -1 = unbound *)
   ; mutable valid_from : int
   ; mutable probes : int
   ; mutable hits : int }
 
-let create () = { bound = None; valid_from = 0; probes = 0; hits = 0 }
+let create () = { bound = -1; valid_from = 0; probes = 0; hits = 0 }
 
 (* Pure hit test, for evaluation during issue-cycle search; does not
    touch statistics. *)
-let peek t ~cycle reg = t.bound = Some reg && cycle >= t.valid_from
+let peek t ~cycle reg = t.bound = reg && cycle >= t.valid_from
 
 (* Probe for base register [reg] at [cycle]: true when R_addr is bound
    to [reg] and the cached value is usable this cycle. *)
 let probe t ~cycle reg =
   t.probes <- t.probes + 1;
-  let hit = t.bound = Some reg && cycle >= t.valid_from in
+  let hit = peek t ~cycle reg in
   if hit then t.hits <- t.hits + 1;
   hit
 
 (* Bind R_addr to [reg] (performed by every ld_e, and by the
    hardware-selection baseline on every early-path load). *)
 let bind t ~cycle reg =
-  if t.bound <> Some reg then begin
-    t.bound <- Some reg;
+  if t.bound <> reg then begin
+    t.bound <- reg;
     t.valid_from <- cycle + 1
   end
 
@@ -41,7 +41,7 @@ let hit_rate t =
 (* --- fault-injection hooks (lib/verify) ------------------------------ *)
 
 let unbind t =
-  t.bound <- None;
+  t.bound <- -1;
   t.valid_from <- 0
 
-let bound t = t.bound
+let bound t = if t.bound < 0 then None else Some t.bound

@@ -33,23 +33,18 @@ let create ?(ways = 1) ~size_bytes ~line_bytes () =
   ; accesses = 0
   ; misses = 0 }
 
-let set_tag t addr =
-  let line = addr lsr t.line_bits in
-  (line mod t.sets, line)
-
-(* Index of the way holding [tag] in [set], or -1. *)
-let find_way t set tag =
-  let base = set * t.ways in
-  let rec go w = if w = t.ways then -1
-    else if t.tags.(base + w) = tag then base + w
-    else go (w + 1)
-  in
-  go 0
+(* Index of the way holding [line] in its set, or -1. *)
+let find_way t line =
+  let base = line mod t.sets * t.ways in
+  let stop = base + t.ways in
+  let i = ref base in
+  while !i < stop && Array.unsafe_get t.tags !i <> line do
+    incr i
+  done;
+  if !i < stop then !i else -1
 
 (* Pure hit test: no statistics, no fill, no LRU update. *)
-let probe t addr =
-  let set, tag = set_tag t addr in
-  find_way t set tag >= 0
+let probe t addr = find_way t (addr lsr t.line_bits) >= 0
 
 let victim_way t set =
   let base = set * t.ways in
@@ -63,16 +58,16 @@ let victim_way t set =
 let access t addr =
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
-  let set, tag = set_tag t addr in
-  let i = find_way t set tag in
+  let line = addr lsr t.line_bits in
+  let i = find_way t line in
   if i >= 0 then begin
     t.stamps.(i) <- t.clock;
     true
   end
   else begin
     t.misses <- t.misses + 1;
-    let v = victim_way t set in
-    t.tags.(v) <- tag;
+    let v = victim_way t (line mod t.sets) in
+    t.tags.(v) <- line;
     t.stamps.(v) <- t.clock;
     false
   end
@@ -81,8 +76,7 @@ let access t addr =
 let access_store t addr =
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
-  let set, tag = set_tag t addr in
-  let i = find_way t set tag in
+  let i = find_way t (addr lsr t.line_bits) in
   if i >= 0 then begin
     t.stamps.(i) <- t.clock;
     true

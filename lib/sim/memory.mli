@@ -1,4 +1,7 @@
-(** Flat little-endian byte-addressable memory. *)
+(** Little-endian byte-addressable memory of [size] bytes, backed by
+    4 KiB pages on demand: unwritten pages read as zero from one shared
+    page, and a page gets its own bytes on its first write.  Bounds and
+    {!Fault} addresses are exactly those of a flat [size]-byte array. *)
 
 type t
 
@@ -9,6 +12,7 @@ val default_size : int
 (** 16 MiB. *)
 
 val create : ?size:int -> unit -> t
+(** Costs one page table; no page is materialized until written. *)
 
 val size : t -> int
 

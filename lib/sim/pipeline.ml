@@ -88,6 +88,52 @@ type load_site =
   ; mutable site_dcache_misses : int
   ; site_latency : Histogram.t }
 
+(* --- per-PC predecode --------------------------------------------------- *)
+
+type path = No_path | Table_path | Calc_path
+
+type control = Not_control | Predicted | Direct
+
+(* Everything [process] needs from one static instruction, decoded on
+   the first retire of its PC and reused on every later one. *)
+type decoded =
+  { insn : Insn.t  (* what this was decoded from; another insn re-decodes *)
+  ; srcs : int array  (* {!Insn.uses}, in order *)
+  ; dst : int  (* the {!Insn.defs} register, or -1 *)
+  ; alu : bool
+  ; branch : bool
+  ; is_load : bool
+  ; is_store : bool
+  ; spec : Insn.load_spec  (* loads only *)
+  ; bytes : int  (* access width of loads and stores *)
+  ; base : int  (* base register of a register+offset address, or -1 *)
+  ; latency : int  (* result latency unless a load: 1, mul or div *)
+  ; control : control  (* Predicted: BTB-resolved; Direct: jump/jal *)
+  ; site : load_site  (* loads only; [no_site] otherwise *) }
+
+let new_site pc spec =
+  { site_pc = pc
+  ; site_spec = spec
+  ; site_count = 0
+  ; site_table_attempts = 0
+  ; site_table_successes = 0
+  ; site_calc_attempts = 0
+  ; site_calc_successes = 0
+  ; site_wasted_spec = 0
+  ; site_latency_sum = 0
+  ; site_dcache_misses = 0
+  ; site_latency = Histogram.create ~bounds:Histogram.load_latency_bounds }
+
+(* Sentinels for PCs not yet seen.  [undecoded.insn] is a fresh block,
+   physically distinct from every instruction a program can retire. *)
+let no_site = new_site (-1) Insn.Ld_n
+
+let undecoded =
+  { insn = Insn.Jump (String.make 1 '?')
+  ; srcs = [||]; dst = -1; alu = false; branch = false; is_load = false
+  ; is_store = false; spec = Insn.Ld_n; bytes = 0; base = -1; latency = 1
+  ; control = Not_control; site = no_site }
+
 let ring_size = 1024
 let ring_mask = ring_size - 1
 
@@ -109,14 +155,29 @@ type t =
   ; mutable branches_used : int
   ; mutable fetch_ready : int
   ; mutable fetch_cause : Stall.t  (* why waiting on the front end stalls *)
-  ; mutable stores_in_flight : (int * int * int) list  (* issue cycle, addr, bytes *)
+  ; mutable decoded : decoded array  (* by PC *)
+  ; mutable sites : load_site array  (* by PC; [no_site] until first retire *)
+  (* in-flight stores, a FIFO ring in issue order: slots
+     [st_head, st_head + st_len) modulo the capacity *)
+  ; st_cycle : int array
+  ; st_addr : int array
+  ; st_bytes : int array
+  ; mutable st_head : int
+  ; mutable st_len : int
+  (* the candidate issue cycle's early path and speculative access,
+     written by [select_path]/[eval_spec] and reused at commit *)
+  ; mutable sel_path : path
+  ; mutable ev_dispatched : bool
+  ; mutable ev_access_cycle : int  (* cycle the speculative access occupies *)
+  ; mutable ev_addr : int  (* address it reads: the prediction or eff *)
+  ; mutable ev_success : bool
+  ; mutable ev_latency : int  (* result latency when it succeeds *)
   ; mutable tracer : (int -> Insn.t -> int -> int -> unit) option
     (* pc, insn, issue cycle, result latency — for visualization *)
   ; mutable last_issue : int   (* most recent cycle an instruction issued *)
   ; mutable busy_cycles : int  (* distinct cycles with >= 1 issue *)
   ; stall_cycles : int array   (* indexed by Stall.index *)
   ; mutable drain_cause : Stall.t  (* cause of the latest writeback *)
-  ; load_sites : (int, load_site) Hashtbl.t
   ; load_latency_hist : Histogram.t
   ; stats : stats }
 
@@ -135,6 +196,11 @@ let create (cfg : Config.t) =
   let raddr =
     match cfg.mechanism with Config.Dual _ -> Some (Raddr.create ()) | _ -> None
   in
+  (* A store issues only with a free port the next cycle, so at most
+     [mem_ports] stores share an issue cycle, and the window (see
+     [process]) spans three issue cycles. *)
+  let rec pow2 k = if k >= 3 * cfg.mem_ports then k else pow2 (2 * k) in
+  let store_window = pow2 1 in
   { cfg
   ; icache =
       Cache.create ~ways:cfg.cache_ways ~size_bytes:cfg.icache_bytes
@@ -156,15 +222,89 @@ let create (cfg : Config.t) =
   ; branches_used = 0
   ; fetch_ready = 4
   ; fetch_cause = Stall.Icache_miss  (* startup fill = frontend *)
-  ; stores_in_flight = []
+  ; decoded = [||]
+  ; sites = [||]
+  ; st_cycle = Array.make store_window 0
+  ; st_addr = Array.make store_window 0
+  ; st_bytes = Array.make store_window 0
+  ; st_head = 0
+  ; st_len = 0
+  ; sel_path = No_path
+  ; ev_dispatched = false
+  ; ev_access_cycle = 0
+  ; ev_addr = 0
+  ; ev_success = false
+  ; ev_latency = 0
   ; tracer = None
   ; last_issue = -1
   ; busy_cycles = 0
   ; stall_cycles = Array.make Stall.cardinal 0
   ; drain_cause = Stall.Raw_dependence
-  ; load_sites = Hashtbl.create 64
   ; load_latency_hist = Histogram.create ~bounds:Histogram.load_latency_bounds
   ; stats = fresh_stats () }
+
+(* Integer-specialized [max]/[min]: the polymorphic ones go through the
+   generic comparison. *)
+let imax (a : int) b = if a >= b then a else b
+let imin (a : int) b = if a <= b then a else b
+
+let decode (cfg : Config.t) site insn =
+  let bytes, base =
+    match insn with
+    | Insn.Load { size; addr; _ } | Insn.Store { size; addr; _ } ->
+      (Insn.size_bytes size, match addr with Insn.Base_offset (b, _) -> b | _ -> -1)
+    | _ -> (0, -1)
+  in
+  { insn
+  ; srcs = Array.of_list (Insn.uses insn)
+  ; dst = (match Insn.defs insn with [ d ] -> d | _ -> -1)
+  ; alu =
+      (match insn with
+      | Insn.Alu _ | Insn.Li _ | Insn.Syscall _ | Insn.Nop | Insn.Halt -> true
+      | _ -> false)
+  ; branch = Insn.is_branch insn
+  ; is_load = Insn.is_load insn
+  ; is_store = Insn.is_store insn
+  ; spec = Option.value (Insn.load_spec insn) ~default:Insn.Ld_n
+  ; bytes
+  ; base
+  ; latency =
+      (match insn with
+      | Insn.Alu { op = Insn.Mul; _ } -> cfg.mul_latency
+      | Insn.Alu { op = Insn.Div | Insn.Rem; _ } -> cfg.div_latency
+      | _ -> 1)
+  ; control =
+      (match insn with
+      | Insn.Branch _ | Insn.Jr _ | Insn.Jalr _ -> Predicted
+      | Insn.Jump _ | Insn.Jal _ -> Direct
+      | _ -> Not_control)
+  ; site }
+
+let grow arr n fill =
+  let a = Array.make (imax n (2 * Array.length arr)) fill in
+  Array.blit arr 0 a 0 (Array.length arr);
+  a
+
+(* Decode [insn] at [pc] and cache it; a load gets its PC's site. *)
+let decode_at t pc insn =
+  if pc >= Array.length t.decoded then begin
+    t.decoded <- grow t.decoded (pc + 1) undecoded;
+    t.sites <- grow t.sites (pc + 1) no_site
+  end;
+  let site =
+    match insn with
+    | Insn.Load { spec; _ } ->
+      if t.sites.(pc) == no_site then t.sites.(pc) <- new_site pc spec;
+      t.sites.(pc)
+    | _ -> no_site
+  in
+  let d = decode t.cfg site insn in
+  t.decoded.(pc) <- d;
+  d
+
+let lookup_decoded t pc insn =
+  if pc < Array.length t.decoded && t.decoded.(pc).insn == insn then t.decoded.(pc)
+  else decode_at t pc insn
 
 (* --- data-cache port ring ------------------------------------------- *)
 
@@ -186,18 +326,43 @@ let book_port t cycle =
 
 let overlap a1 n1 a2 n2 = not (a1 + n1 <= a2 || a2 + n2 <= a1)
 
+(* Drop in-flight stores issued before [cycle].  Issue cycles never
+   decrease, so the ring is in issue-cycle order and those stores are
+   exactly its oldest entries. *)
+let prune_stores t cycle =
+  let mask = Array.length t.st_cycle - 1 in
+  while t.st_len > 0 && t.st_cycle.(t.st_head) < cycle do
+    t.st_head <- (t.st_head + 1) land mask;
+    t.st_len <- t.st_len - 1
+  done
+
+let push_store t cycle addr bytes =
+  let cap = Array.length t.st_cycle in
+  if t.st_len = cap then failwith "Pipeline: in-flight store window overflow";
+  let k = (t.st_head + t.st_len) land (cap - 1) in
+  t.st_cycle.(k) <- cycle;
+  t.st_addr.(k) <- addr;
+  t.st_bytes.(k) <- bytes;
+  t.st_len <- t.st_len + 1
+
 (* Conservative memory interlock for a speculative access reading the
    cache during cycle [read_cycle]: a store issued at [read_cycle] or
    later has an unresolved address (interlock); one issued the cycle
    before races with the read and interlocks when the ranges overlap;
-   older stores have completed their write-through. *)
+   older stores have completed their write-through and leave the
+   window for good. *)
 let mem_interlock t ~read_cycle spec_addr spec_bytes =
-  t.stores_in_flight <-
-    List.filter (fun (cs, _, _) -> cs >= read_cycle - 1) t.stores_in_flight;
-  List.exists
-    (fun (cs, addr, bytes) ->
-      cs >= read_cycle || overlap addr bytes spec_addr spec_bytes)
-    t.stores_in_flight
+  prune_stores t (read_cycle - 1);
+  let mask = Array.length t.st_cycle - 1 in
+  let hit = ref false and i = ref 0 in
+  while (not !hit) && !i < t.st_len do
+    let k = (t.st_head + !i) land mask in
+    hit :=
+      t.st_cycle.(k) >= read_cycle
+      || overlap t.st_addr.(k) t.st_bytes.(k) spec_addr spec_bytes;
+    incr i
+  done;
+  !hit
 
 (* --- issue-cycle bookkeeping ----------------------------------------- *)
 
@@ -231,42 +396,7 @@ let bump_fetch t cycle cause =
     t.fetch_cause <- cause
   end
 
-let site_of t pc spec =
-  match Hashtbl.find_opt t.load_sites pc with
-  | Some site -> site
-  | None ->
-    let site =
-      { site_pc = pc
-      ; site_spec = spec
-      ; site_count = 0
-      ; site_table_attempts = 0
-      ; site_table_successes = 0
-      ; site_calc_attempts = 0
-      ; site_calc_successes = 0
-      ; site_wasted_spec = 0
-      ; site_latency_sum = 0
-      ; site_dcache_misses = 0
-      ; site_latency = Histogram.create ~bounds:Histogram.load_latency_bounds }
-    in
-    Hashtbl.replace t.load_sites pc site;
-    site
-
 (* --- speculation evaluation ------------------------------------------ *)
-
-type spec_eval =
-  { dispatched : bool
-  ; access_cycle : int  (* cycle the speculative cache access occupies *)
-  ; success : bool
-  ; success_latency : int
-  ; path : [ `Table | `Calc | `None ] }
-
-let no_spec =
-  { dispatched = false; access_cycle = 0; success = false; success_latency = 0
-  ; path = `None }
-
-let base_register = function
-  | Insn.Base_offset (b, _) -> Some b
-  | Insn.Base_index _ | Insn.Absolute _ -> None
 
 (* Early-calculation timing is elastic in an in-order pipeline: the
    dedicated adder computes base+offset during the first cycle the base
@@ -276,36 +406,39 @@ let base_register = function
    EXE stage of the load itself; a base register that becomes ready
    exactly at EXE (the paper's Figure 1c worst case) gains nothing and
    is suppressed as an R_addr interlock. *)
-let calc_access_cycle t c base = 1 + max (c - 2) t.reg_ready.(base)
+let calc_access_cycle t c base = 1 + imax (c - 2) t.reg_ready.(base)
 
-(* Pure evaluation of the speculative path at candidate issue cycle
-   [c].  [prediction] is the table's predicted address (peeked once per
-   load, before the search). *)
-let eval_spec t c ~path ~prediction ~eff ~bytes ~addr_mode =
-  match path with
-  | `None -> no_spec
-  | `Table -> begin
-    match prediction with
-    | None -> no_spec
-    | Some pa ->
+(* Evaluate the load's speculative access at candidate issue cycle [c]
+   along [t.sel_path], into the [ev_*] fields.  Touches no predictor
+   state, so the chosen cycle's result stands at commit. *)
+let eval_spec t c (d : decoded) pc eff =
+  t.ev_dispatched <- false;
+  t.ev_success <- false;
+  match t.sel_path with
+  | No_path -> ()
+  | Table_path -> begin
+    match t.table with
+    | Some table when Addr_table.hit table pc ->
       (* PC-indexed prediction is available at ID1; the speculative
          access occupies the cache during ID2 and is verified against
          the computed address at the end of EXE: latency 1. *)
       let access_cycle = c - 1 in
-      if not (port_free t access_cycle) then no_spec
-      else
-        let success =
+      if port_free t access_cycle then begin
+        let pa = Addr_table.predicted_address table pc in
+        t.ev_dispatched <- true;
+        t.ev_access_cycle <- access_cycle;
+        t.ev_addr <- pa;
+        t.ev_latency <- 1;
+        t.ev_success <-
           pa = eff
           && Cache.probe t.dcache pa
-          && not (mem_interlock t ~read_cycle:access_cycle pa bytes)
-        in
-        { dispatched = true; access_cycle; success; success_latency = 1
-        ; path = `Table }
+          && not (mem_interlock t ~read_cycle:access_cycle pa d.bytes)
+      end
+    | _ -> ()
   end
-  | `Calc -> begin
-    match base_register addr_mode with
-    | None -> no_spec
-    | Some base ->
+  | Calc_path ->
+    let base = d.base in
+    if base >= 0 then begin
       let structure_hit =
         match (t.raddr, t.bric) with
         | Some r, _ -> Raddr.peek r ~cycle:(c - 2) base
@@ -313,44 +446,40 @@ let eval_spec t c ~path ~prediction ~eff ~bytes ~addr_mode =
         | None, None -> false
       in
       let access_cycle = calc_access_cycle t c base in
-      if not (structure_hit && access_cycle <= c && port_free t access_cycle)
-      then no_spec
-      else
-        let success =
+      if structure_hit && access_cycle <= c && port_free t access_cycle then begin
+        t.ev_dispatched <- true;
+        t.ev_access_cycle <- access_cycle;
+        t.ev_addr <- eff;
+        t.ev_latency <- imax 0 (access_cycle + 1 - c);
+        t.ev_success <-
           Cache.probe t.dcache eff
-          && not (mem_interlock t ~read_cycle:access_cycle eff bytes)
-        in
-        { dispatched = true; access_cycle; success
-        ; success_latency = max 0 (access_cycle + 1 - c); path = `Calc }
-  end
+          && not (mem_interlock t ~read_cycle:access_cycle eff d.bytes)
+      end
+    end
 
-(* Which early path does this load take under the configured
-   mechanism? *)
-let select_path t c insn_spec addr_mode =
-  match t.cfg.mechanism with
-  | Config.No_early -> (`None, false)
-  | Config.Table_only { compiler_filtered; _ } ->
-    if (not compiler_filtered) || insn_spec = Insn.Ld_p then (`Table, true)
-    else (`None, false)
-  | Config.Calc_only _ -> (`Calc, false)
-  | Config.Dual { selection = Config.Compiler_directed; _ } -> begin
-    match insn_spec with
-    | Insn.Ld_p -> (`Table, true)
-    | Insn.Ld_e -> (`Calc, false)
-    | Insn.Ld_n -> (`None, false)
-  end
-  | Config.Dual { selection = Config.Hardware_selected; _ } -> begin
-    (* Run-time selection over the same hardware (Eickemeyer–
-       Vassiliadis rule): a base register interlocked at decode sends
-       the load to the prediction table (allocating an entry);
-       otherwise it takes the early-calculation path through R_addr,
-       rebinding it.  With no compiler guidance, every calc-path load
-       competes for the single R_addr binding. *)
-    match base_register addr_mode with
-    | None -> (`Table, true)
-    | Some base ->
-      if t.reg_ready.(base) <= c - 2 then (`Calc, false) else (`Table, true)
-  end
+(* Which early path does this load take at candidate cycle [c] under
+   the configured mechanism?  Sets [t.sel_path]. *)
+let select_path t c (d : decoded) =
+  t.sel_path <-
+    (match t.cfg.mechanism with
+    | Config.No_early -> No_path
+    | Config.Table_only { compiler_filtered; _ } ->
+      if (not compiler_filtered) || d.spec = Insn.Ld_p then Table_path else No_path
+    | Config.Calc_only _ -> Calc_path
+    | Config.Dual { selection = Config.Compiler_directed; _ } -> begin
+      match d.spec with
+      | Insn.Ld_p -> Table_path
+      | Insn.Ld_e -> Calc_path
+      | Insn.Ld_n -> No_path
+    end
+    | Config.Dual { selection = Config.Hardware_selected; _ } ->
+      (* Run-time selection over the same hardware (Eickemeyer–
+         Vassiliadis rule): a base register interlocked at decode sends
+         the load to the prediction table (allocating an entry);
+         otherwise it takes the early-calculation path through R_addr,
+         rebinding it.  With no compiler guidance, every calc-path load
+         competes for the single R_addr binding. *)
+      if d.base < 0 || t.reg_ready.(d.base) > c - 2 then Table_path else Calc_path)
 
 (* --- per-instruction processing --------------------------------------- *)
 
@@ -359,77 +488,55 @@ let count_load_spec stats = function
   | Insn.Ld_p -> stats.loads_p <- stats.loads_p + 1
   | Insn.Ld_e -> stats.loads_e <- stats.loads_e + 1
 
+(* Allocation-free: no closures, no tuples, no options; all per-load
+   state lives in [t]'s mutable fields and the predecoded record. *)
 let process t pc insn eff taken next_pc =
   let s = t.stats in
+  let d = lookup_decoded t pc insn in
   s.instructions <- s.instructions + 1;
   (* instruction fetch *)
   if not (Cache.access t.icache (pc lsl 2)) then begin
     s.icache_misses <- s.icache_misses + 1;
-    bump_fetch t (max t.fetch_ready t.cur_cycle + t.cfg.miss_penalty)
+    bump_fetch t (imax t.fetch_ready t.cur_cycle + t.cfg.miss_penalty)
       Stall.Icache_miss
   end;
-  let alu =
-    match insn with
-    | Insn.Alu _ | Insn.Li _ | Insn.Syscall _ | Insn.Nop | Insn.Halt -> true
-    | _ -> false
-  in
-  let branch = Insn.is_branch insn in
-  let is_load = Insn.is_load insn in
-  let is_store = Insn.is_store insn in
+  let alu = d.alu and branch = d.branch in
   let sources_ready = ref 0 in
   let sources_cause = ref Stall.Raw_dependence in
-  List.iter
-    (fun r ->
-      if t.reg_ready.(r) > !sources_ready then begin
-        sources_ready := t.reg_ready.(r);
-        sources_cause := t.reg_cause.(r)
-      end)
-    (Insn.uses insn);
-  let sources_ready = !sources_ready in
-  let c0 = max (max t.fetch_ready sources_ready) t.cur_cycle in
-  (* table probe happens once per load (counts in table stats) *)
-  let load_info =
-    if is_load then
-      match insn with
-      | Insn.Load { spec; size; addr; _ } -> Some (spec, Insn.size_bytes size, addr)
-      | _ -> None
-    else None
-  in
-  (* search for the issue cycle *)
-  let rec find c =
-    if not (structural_ok t c ~alu ~branch) then find (c + 1)
-    else if is_store then
-      if port_free t (c + 1) then (c, no_spec) else find (c + 1)
-    else if is_load then begin
-      match load_info with
-      | None -> (c, no_spec)
-      | Some (spec, bytes, addr_mode) ->
-        let path, _ = select_path t c spec addr_mode in
-        let prediction =
-          match (path, t.table) with
-          | `Table, Some table -> begin
-            (* pure peek at the table entry: direct-mapped tag match *)
-            match Addr_table.peek table pc with
-            | Some pa -> Some pa
-            | None -> None
-          end
-          | _ -> None
-        in
-        let ev = eval_spec t c ~path ~prediction ~eff ~bytes ~addr_mode in
-        if ev.success then (c, ev)
-        else if port_free t (c + 1) then (c, ev)
-        else find (c + 1)
+  let srcs = d.srcs in
+  for i = 0 to Array.length srcs - 1 do
+    let r = Array.unsafe_get srcs i in
+    if t.reg_ready.(r) > !sources_ready then begin
+      sources_ready := t.reg_ready.(r);
+      sources_cause := t.reg_cause.(r)
     end
-    else (c, no_spec)
-  in
-  let c, ev = find c0 in
+  done;
+  let sources_ready = !sources_ready in
+  let c0 = imax (imax t.fetch_ready sources_ready) t.cur_cycle in
+  (* search for the issue cycle; a load evaluates its early path at
+     every candidate, and the last evaluation is the chosen cycle's *)
+  let c = ref c0 and searching = ref true in
+  while !searching do
+    let cc = !c in
+    if not (structural_ok t cc ~alu ~branch) then c := cc + 1
+    else if d.is_store then
+      if port_free t (cc + 1) then searching := false else c := cc + 1
+    else if d.is_load then begin
+      select_path t cc d;
+      eval_spec t cc d pc eff;
+      if t.ev_success || port_free t (cc + 1) then searching := false
+      else c := cc + 1
+    end
+    else searching := false
+  done;
+  let c = !c in
   (* stall attribution: charge every cycle between the previous issue
      and this one to its binding constraint.  [last_issue+1, c0) was
      bounded by operand readiness or the front end (whichever is
      latest); [c0, c) was spent searching for a free data-cache port. *)
   if c > t.last_issue then begin
     let gap_start = t.last_issue + 1 in
-    let dep_end = min c c0 in
+    let dep_end = imin c c0 in
     if dep_end > gap_start then begin
       let cause =
         if sources_ready >= t.fetch_ready && sources_ready > t.last_issue then
@@ -438,7 +545,7 @@ let process t pc insn eff taken next_pc =
       in
       charge t cause (dep_end - gap_start)
     end;
-    let port_start = max c0 gap_start in
+    let port_start = imax c0 gap_start in
     if c > port_start then charge t Stall.Port_contention (c - port_start);
     t.busy_cycles <- t.busy_cycles + 1;
     t.last_issue <- c
@@ -447,48 +554,38 @@ let process t pc insn eff taken next_pc =
   t.slots_used <- t.slots_used + 1;
   if alu then t.alus_used <- t.alus_used + 1;
   if branch then t.branches_used <- t.branches_used + 1;
-  (* defaults *)
-  let latency = ref 1 in
+  let latency = ref d.latency in
   let def_cause = ref Stall.Raw_dependence in
-  (match insn with
-  | Insn.Alu { op = Insn.Mul; _ } -> latency := t.cfg.mul_latency
-  | Insn.Alu { op = Insn.Div | Insn.Rem; _ } -> latency := t.cfg.div_latency
-  | _ -> ());
   (* loads *)
-  (match load_info with
-  | Some (spec, _bytes, addr_mode) ->
+  if d.is_load then begin
     s.loads <- s.loads + 1;
-    count_load_spec s spec;
-    let site = site_of t pc spec in
+    count_load_spec s d.spec;
+    let site = d.site in
     site.site_count <- site.site_count + 1;
-    let path, updates_table = select_path t c spec addr_mode in
-    (* commit structure probes/bindings *)
-    (match (path, base_register addr_mode) with
-    | `Calc, Some base -> begin
+    let path = t.sel_path in
+    (* commit structure probes/bindings: the decode-stage table probe
+       (counted here, once, at the chosen cycle), or the R_addr/BRIC
+       probe of the calc path *)
+    (match path with
+    | Table_path -> (
+      match t.table with Some table -> ignore (Addr_table.probe table pc) | None -> ())
+    | Calc_path when d.base >= 0 -> begin
       match (t.raddr, t.bric) with
       | Some r, _ ->
-        ignore (Raddr.probe r ~cycle:(c - 2) base);
-        Raddr.bind r ~cycle:(c - 2) base
-      | None, Some b -> ignore (Bric.probe b ~cycle:(c - 2) base)
+        ignore (Raddr.probe r ~cycle:(c - 2) d.base);
+        Raddr.bind r ~cycle:(c - 2) d.base
+      | None, Some b -> ignore (Bric.probe b ~cycle:(c - 2) d.base)
       | None, None -> ()
     end
-    | (`Calc | `Table | `None), _ -> ());
+    | Calc_path | No_path -> ());
     (* speculative dispatch effects *)
     let spec_missed_same_line = ref false in
-    if ev.dispatched then begin
-      book_port t ev.access_cycle;
+    if t.ev_dispatched then begin
+      book_port t t.ev_access_cycle;
       s.dcache_accesses <- s.dcache_accesses + 1;
       (* the speculative access touches the cache with its (possibly
          wrong) address; for the table path that is the prediction *)
-      let spec_addr =
-        match ev.path with
-        | `Table -> (match t.table with
-                     | Some table -> (match Addr_table.peek table pc with
-                                      | Some pa -> pa
-                                      | None -> eff)
-                     | None -> eff)
-        | _ -> eff
-      in
+      let spec_addr = t.ev_addr in
       let spec_hit = Cache.access t.dcache spec_addr in
       if not spec_hit then begin
         s.dcache_misses <- s.dcache_misses + 1;
@@ -496,30 +593,30 @@ let process t pc insn eff taken next_pc =
            the normal access below merges with the in-flight fill *)
         if spec_addr lsr 6 = eff lsr 6 then spec_missed_same_line := true
       end;
-      (match ev.path with
-      | `Table ->
+      (match path with
+      | Table_path ->
         s.table_attempts <- s.table_attempts + 1;
         site.site_table_attempts <- site.site_table_attempts + 1;
-        if ev.success then begin
+        if t.ev_success then begin
           s.table_successes <- s.table_successes + 1;
           site.site_table_successes <- site.site_table_successes + 1
         end
-      | `Calc ->
+      | Calc_path ->
         s.calc_attempts <- s.calc_attempts + 1;
         site.site_calc_attempts <- site.site_calc_attempts + 1;
-        if ev.success then begin
+        if t.ev_success then begin
           s.calc_successes <- s.calc_successes + 1;
           site.site_calc_successes <- site.site_calc_successes + 1
         end
-      | `None -> ());
-      if not ev.success then begin
+      | No_path -> ());
+      if not t.ev_success then begin
         s.wasted_spec <- s.wasted_spec + 1;
         site.site_wasted_spec <- site.site_wasted_spec + 1
       end
     end;
     let load_missed = ref false in
     let lat =
-      if ev.success then ev.success_latency
+      if t.ev_success then t.ev_latency
       else begin
         (* normal path: cache access at MEM *)
         book_port t (c + 1);
@@ -532,7 +629,7 @@ let process t pc insn eff taken next_pc =
         if hit && !spec_missed_same_line then
           (* merge with the fill the speculative access initiated *)
           t.cfg.load_latency
-          + max 0 (t.cfg.miss_penalty - (c + 1 - ev.access_cycle))
+          + imax 0 (t.cfg.miss_penalty - (c + 1 - t.ev_access_cycle))
         else t.cfg.load_latency + (if hit then 0 else t.cfg.miss_penalty)
       end
     in
@@ -544,47 +641,51 @@ let process t pc insn eff taken next_pc =
     latency := lat;
     def_cause := if !load_missed then Stall.Dcache_miss else Stall.Load_use;
     (* the table entry is updated at MEM with the computed address *)
-    (match (t.table, updates_table) with
-    | Some table, true -> ignore (Addr_table.update table pc eff)
+    (match (t.table, path) with
+    | Some table, Table_path -> ignore (Addr_table.update table pc eff)
     | _ -> ())
-  | None -> ());
+  end;
   (* stores *)
-  if is_store then begin
+  if d.is_store then begin
     s.stores <- s.stores + 1;
     book_port t (c + 1);
     s.dcache_accesses <- s.dcache_accesses + 1;
     if not (Cache.access_store t.dcache eff) then
       s.dcache_misses <- s.dcache_misses + 1;
-    let bytes =
-      match insn with Insn.Store { size; _ } -> Insn.size_bytes size | _ -> 4
-    in
-    t.stores_in_flight <- (c, eff, bytes) :: t.stores_in_flight
+    (* Bound the window to stores issued at [c - 2] or later.  Issue
+       cycles never decrease, so every later speculative probe reads
+       at [read_cycle >= c - 1] (table: [c' - 1]; calc:
+       [1 + max (c' - 2) _ >= c' - 1], with [c' >= c]) and first drops
+       every store older than [read_cycle - 1 >= c - 2] itself: the
+       stores pruned here could never interlock.  Without this, runs
+       that never probe keep one entry per dynamic store. *)
+    prune_stores t (c - 2);
+    push_store t c eff d.bytes
   end;
   (* control flow *)
-  (match insn with
-  | Insn.Branch _ | Insn.Jr _ | Insn.Jalr _ ->
+  (match d.control with
+  | Predicted ->
     let correct = Btb.update t.btb pc ~taken ~target:next_pc in
     if correct then begin
-      if taken then t.fetch_ready <- max t.fetch_ready (c + 1)
+      if taken then t.fetch_ready <- imax t.fetch_ready (c + 1)
     end
     else begin
       s.btb_mispredicts <- s.btb_mispredicts + 1;
       bump_fetch t (c + 1 + t.cfg.mispredict_penalty) Stall.Btb_mispredict
     end
-  | Insn.Jump _ | Insn.Jal _ ->
+  | Direct ->
     (* direct unconditional transfers redirect fetch without penalty
        but end the fetch group *)
-    t.fetch_ready <- max t.fetch_ready (c + 1)
-  | _ -> ());
-  (* destinations *)
-  List.iter
-    (fun d ->
-      t.reg_ready.(d) <- c + !latency;
-      t.reg_cause.(d) <- !def_cause)
-    (Insn.defs insn);
+    t.fetch_ready <- imax t.fetch_ready (c + 1)
+  | Not_control -> ());
+  (* destination *)
+  if d.dst >= 0 then begin
+    t.reg_ready.(d.dst) <- c + !latency;
+    t.reg_cause.(d.dst) <- !def_cause
+  end;
   (match t.tracer with Some f -> f pc insn c !latency | None -> ());
   (* an issued instruction occupies its issue cycle even at latency 0 *)
-  let finish = max (c + !latency) (c + 1) in
+  let finish = imax (c + !latency) (c + 1) in
   if finish > s.cycles then begin
     s.cycles <- finish;
     t.drain_cause <- !def_cause
@@ -630,8 +731,9 @@ let stall_total t =
   List.fold_left (fun acc (_, n) -> acc + n) 0 (stall_breakdown t)
 
 let load_sites t =
-  Hashtbl.fold (fun _ site acc -> site :: acc) t.load_sites []
-  |> List.sort (fun a b -> compare a.site_pc b.site_pc)
+  Array.fold_right
+    (fun site acc -> if site == no_site then acc else site :: acc)
+    t.sites []
 
 let load_latency_histogram t = t.load_latency_hist
 

@@ -66,11 +66,13 @@ let test_random_addresses_rarely_predict () =
 
 let test_table_miss_then_hit () =
   let t = Addr_table.create 16 in
-  check_bool "cold probe misses" true (Addr_table.probe t 3 = None);
+  check_bool "cold probe misses" false (Addr_table.probe t 3);
   ignore (Addr_table.update t 3 100);
-  (match Addr_table.probe t 3 with
-  | Some 100 -> ()
-  | _ -> Alcotest.fail "expected PA=100 after allocation");
+  check_bool "probe hits after allocation" true (Addr_table.probe t 3);
+  check "PA=100 after allocation" 100 (Addr_table.predicted_address t 3);
+  let st = Addr_table.stats t in
+  check "probes counted" 2 st.Addr_table.st_probes;
+  check "hits counted" 1 st.Addr_table.st_hits;
   ignore (Addr_table.update t 3 100);
   ignore (Addr_table.update t 3 100);
   match Addr_table.peek t 3 with
@@ -81,8 +83,8 @@ let test_table_conflict_eviction () =
   let t = Addr_table.create 16 in
   ignore (Addr_table.update t 5 100);
   ignore (Addr_table.update t 21 200); (* same index: 21 mod 16 = 5 *)
-  check_bool "evicted" true (Addr_table.probe t 5 = None);
-  check_bool "new resident" true (Addr_table.probe t 21 <> None)
+  check_bool "evicted" false (Addr_table.probe t 5);
+  check_bool "new resident" true (Addr_table.probe t 21)
 
 let test_table_strided_load () =
   let t = Addr_table.create 64 in

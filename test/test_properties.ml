@@ -100,6 +100,80 @@ let memory_roundtrip =
       w = Alu.norm v
       && Alu.norm (b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)) = w)
 
+(* Demand-paged memory against a flat [Bytes] reference: random byte,
+   half and word reads and writes on a size that is not a page
+   multiple must return the same values and raise [Fault] at the same
+   addresses.  Addresses cluster where paging could go wrong: across
+   4 KiB page boundaries (unaligned accesses straddle them), at the
+   last valid address, just past the end, below zero, and on pages
+   never written. *)
+module Flat = struct
+  let check m addr n = if addr < 0 || addr + n > Bytes.length m then raise (Memory.Fault addr)
+  let get m a = Char.code (Bytes.get m a)
+
+  let read m width signed addr =
+    check m addr width;
+    let v = ref 0 in
+    for i = width - 1 downto 0 do
+      v := (!v lsl 8) lor get m (addr + i)
+    done;
+    let bits = 8 * width in
+    if signed && !v lsr (bits - 1) = 1 then !v - (1 lsl bits) else !v
+
+  let write m width addr v =
+    check m addr width;
+    for i = 0 to width - 1 do
+      Bytes.set m (addr + i) (Char.chr ((v asr (8 * i)) land 0xff))
+    done
+end
+
+let paged_memory_matches_flat =
+  let page = 4096 in
+  let size = (3 * page) + 1234 in
+  let addr =
+    QCheck.Gen.(
+      frequency
+        [ (4, map2 (fun k d -> (k * page) + d) (int_range 1 3) (int_range (-4) 3))
+        ; (2, map (fun d -> size + d) (int_range (-5) 1))
+        ; (1, int_range (-5) 0)
+        ; (3, int_range 0 (size - 1)) ])
+  in
+  let op =
+    QCheck.Gen.(
+      quad bool (oneofl [ 1; 2; 4 ]) bool (pair addr (int_range (-0x8000_0000) 0xFFFF_FFFF)))
+  in
+  let print (write, width, signed, (a, v)) =
+    Printf.sprintf "%s%d%s @%d %d" (if write then "w" else "r") width
+      (if signed then "s" else "u") a v
+  in
+  QCheck.Test.make ~name:"memory: paged matches flat reference" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (int_range 1 60) op))
+    (fun ops ->
+      let m = Memory.create ~size () and flat = Bytes.make size '\000' in
+      let outcome f = try Ok (f ()) with Memory.Fault a -> Error a in
+      List.for_all
+        (fun (write, width, signed, (a, v)) ->
+          if write then
+            let paged () =
+              match width with
+              | 1 -> Memory.write_byte m a v
+              | 2 -> Memory.write_half m a v
+              | _ -> Memory.write_word m a v
+            in
+            outcome paged = outcome (fun () -> Flat.write flat width a v)
+          else
+            let paged () =
+              match (width, signed) with
+              | 1, false -> Memory.read_byte_u m a
+              | 1, true -> Memory.read_byte_s m a
+              | 2, false -> Memory.read_half_u m a
+              | 2, true -> Memory.read_half_s m a
+              | _ -> Memory.read_word m a
+            in
+            (* words are signed 32-bit whatever [signed] says *)
+            outcome paged = outcome (fun () -> Flat.read flat width (signed || width = 4) a))
+        ops)
+
 let alu_compare_consistency =
   QCheck.Test.make ~name:"alu: set-compare ops agree with eval_cond" ~count:500
     QCheck.(make Gen.(pair int int))
@@ -167,4 +241,5 @@ let suite =
       ; sema_never_crashes
       ; cache_invariants
       ; memory_roundtrip
+      ; paged_memory_matches_flat
       ; alu_compare_consistency ]

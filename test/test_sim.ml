@@ -415,6 +415,36 @@ let test_speedup_ordering_on_workload () =
     ; dual_cc
     ; Config.Dual { table_entries = 256; selection = Config.Hardware_selected } ]
 
+(* The timed retire path allocates nothing in steady state: under every
+   mechanism preset, emulating and timing 072.sc from its 100 K-th to
+   its 1 M-th retire costs under one minor-heap word per retire.  This
+   pins the predecoded pipeline, the fixed predictor structures and
+   the in-flight store window's bound (without it the fixed store ring
+   overflows under presets that rarely probe). *)
+let test_retire_path_allocation_free () =
+  let w = Elag_workloads.Suite.find "072.sc" in
+  let program = Elag_harness.Compile.compile w.Elag_workloads.Workload.source in
+  let warmup = 100_000 and total = 1_000_000 in
+  let run_to emu observer n =
+    try Emulator.run ~observer ~max_insns:n emu with Emulator.Runaway _ -> ()
+  in
+  List.iter
+    (fun mech ->
+      let t = Pipeline.create (Config.with_mechanism mech Config.default) in
+      let emu = Emulator.create program in
+      let observer = Pipeline.observer t in
+      run_to emu observer warmup;
+      let before = Gc.minor_words () in
+      run_to emu observer total;
+      let words = Gc.minor_words () -. before in
+      let retires = Emulator.retired emu - warmup in
+      check_bool (Config.mechanism_name mech ^ ": ran past warm-up") true (retires > 0);
+      let per_retire = words /. float_of_int retires in
+      if per_retire >= 1. then
+        Alcotest.failf "%s: %.2f minor words per retire" (Config.mechanism_name mech)
+          per_retire)
+    Config.Mechanism.all
+
 (* --- mechanism naming round-trip ----------------------------------------- *)
 
 let test_mechanism_roundtrip () =
@@ -469,6 +499,8 @@ let suite_head =
   ; Alcotest.test_case "pipeline: bric" `Quick test_calc_only_bric
   ; Alcotest.test_case "pipeline: miss penalty" `Quick test_dcache_miss_penalty
   ; Alcotest.test_case "pipeline: ld_e trace latencies" `Quick test_ld_e_trace_latencies
-  ; Alcotest.test_case "pipeline: config ordering" `Quick test_speedup_ordering_on_workload ]
+  ; Alcotest.test_case "pipeline: config ordering" `Quick test_speedup_ordering_on_workload
+  ; Alcotest.test_case "pipeline: allocation-free retire path" `Quick
+      test_retire_path_allocation_free ]
 
 let suite = suite_head
