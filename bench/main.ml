@@ -1,20 +1,10 @@
-(* Benchmark harness.
+(* Measurement harness.  The paper's tables and figures come from
+   [elag_experiments]; this driver keeps the measurements beside them:
 
-   Default mode regenerates every table and figure from the paper's
-   evaluation section (the rows/series the paper reports):
-
-     dune exec bench/main.exe              all artifacts
-     dune exec bench/main.exe table2       one artifact
-       (table2 | fig5a | fig5b | fig5c | table3 | table4)
-
-   Additional modes:
-
-     dune exec bench/main.exe micro        Bechamel micro-benchmarks of
-                                           the simulator/compiler machinery
-                                           (one Test.make per experiment)
      dune exec bench/main.exe ablation     design-choice ablations from
-                                           DESIGN.md (issue width, unroll,
-                                           miss penalty, table size)
+                                           DESIGN.md (issue width, cache
+                                           ways, miss penalty, unroll,
+                                           table size)
      dune exec bench/main.exe report       write BENCH_pipeline.json:
                                            per-workload cycles/IPC/speedup +
                                            stall-cause breakdown under the
@@ -34,198 +24,69 @@ module Experiments = Elag_engine.Experiments
 module Engine = Elag_engine.Engine
 module Pool = Elag_engine.Pool
 module Compile = Elag_harness.Compile
-module Profile = Elag_harness.Profile
 module Config = Elag_sim.Config
 module Pipeline = Elag_sim.Pipeline
-module Emulator = Elag_sim.Emulator
 module Suite = Elag_workloads.Suite
 module Workload = Elag_workloads.Workload
-module Addr_table = Elag_predict.Addr_table
-module Stride_entry = Elag_predict.Stride_entry
-
-(* --- Bechamel micro-benchmarks ----------------------------------------- *)
-
-(* Micro-benchmarks time single artifacts, so they run on a serial
-   engine: the handle is only a compile/profile cache here. *)
-let micro_engine = lazy (Engine.create ~jobs:1 ())
-
-let micro_program = lazy (Engine.program (Lazy.force micro_engine) (Suite.find "PGP Encode"))
-
-let bench_emulator () = ignore (Emulator.run_program (Lazy.force micro_program))
-
-let bench_pipeline mechanism () =
-  let cfg = Config.with_mechanism mechanism Config.default in
-  ignore (Pipeline.simulate cfg (Lazy.force micro_program))
-
-let bench_compile () =
-  let w = Suite.find "072.sc" in
-  ignore (Compile.compile w.Workload.source)
-
-let bench_profile () = ignore (Profile.collect (Lazy.force micro_program))
-
-let bench_table_updates () =
-  let t = Addr_table.create 256 in
-  for pc = 0 to 99 do
-    for i = 0 to 99 do
-      ignore (Addr_table.peek t pc);
-      ignore (Addr_table.update t pc ((pc * 4096) + (i * 8)))
-    done
-  done
-
-let bench_stride_machine () =
-  let e = Stride_entry.allocate 0 in
-  for i = 1 to 10_000 do
-    ignore (Stride_entry.update e (i * 8))
-  done
-
-(* One Test.make per reproduced artifact: measures the cost of
-   regenerating that table/figure's data for a single representative
-   workload, so harness performance regressions are visible. *)
-let micro_tests =
-  let open Bechamel in
-  let dual_cc = Config.Mechanism.of_string_exn "dual-cc" in
-  Test.make_grouped ~name:"elag"
-    [ Test.make ~name:"table2:profile-pass" (Staged.stage bench_profile)
-    ; Test.make ~name:"fig5a:table-only-sim"
-        (Staged.stage
-           (bench_pipeline (Config.Table_only { entries = 256; compiler_filtered = true })))
-    ; Test.make ~name:"fig5b:calc-only-sim"
-        (Staged.stage (bench_pipeline (Config.Calc_only { bric_entries = 16 })))
-    ; Test.make ~name:"fig5c:dual-path-sim" (Staged.stage (bench_pipeline dual_cc))
-    ; Test.make ~name:"table3:baseline-sim" (Staged.stage (bench_pipeline Config.No_early))
-    ; Test.make ~name:"table4:emulation" (Staged.stage bench_emulator)
-    ; Test.make ~name:"compiler:full-pipeline" (Staged.stage bench_compile)
-    ; Test.make ~name:"predict:table-churn" (Staged.stage bench_table_updates)
-    ; Test.make ~name:"predict:stride-machine" (Staged.stage bench_stride_machine) ]
-
-let run_micro () =
-  let open Bechamel in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 2.0) ~kde:(Some 100) () in
-  let raw = Benchmark.all cfg [ instance ] micro_tests in
-  let results = Analyze.all ols instance raw in
-  Printf.printf "%-34s %16s\n" "benchmark" "time/run";
-  let rows = ref [] in
-  Hashtbl.iter (fun name r -> rows := (name, r) :: !rows) results;
-  List.iter
-    (fun (name, r) ->
-      match Analyze.OLS.estimates r with
-      | Some [ t ] ->
-        let pretty =
-          if t > 1e9 then Printf.sprintf "%.2f s" (t /. 1e9)
-          else if t > 1e6 then Printf.sprintf "%.2f ms" (t /. 1e6)
-          else if t > 1e3 then Printf.sprintf "%.2f us" (t /. 1e3)
-          else Printf.sprintf "%.0f ns" t
-        in
-        Printf.printf "%-34s %16s\n" name pretty
-      | _ -> Printf.printf "%-34s %16s\n" name "-")
-    (List.sort compare !rows)
 
 (* --- ablations ----------------------------------------------------------- *)
 
-let ablation_panel = [ "130.li"; "072.sc"; "023.eqntott" ]
+let ablation_panel = List.map Suite.find [ "130.li"; "072.sc"; "023.eqntott" ]
 
 let dual_cc = Config.Mechanism.of_string_exn "dual-cc"
 
-let speedup_with cfg program =
-  let base = Config.with_mechanism Config.No_early cfg in
-  let dual = Config.with_mechanism dual_cc cfg in
-  let b, _ = Pipeline.simulate base program in
-  let d, _ = Pipeline.simulate dual program in
-  float_of_int b.Pipeline.cycles /. float_of_int d.Pipeline.cycles
+(* One printed row: [label], then [f w] for every panel workload, the
+   workloads computed on the engine's pool. *)
+let print_row engine label f =
+  print_string label;
+  List.iter2
+    (fun (w : Workload.t) v -> Printf.printf "  %s %.3f" w.Workload.name v)
+    ablation_panel
+    (Engine.map engine f ablation_panel)
+
+(* The unroll row recompiles each workload, and the engine caches one
+   program per workload, so these programs are simulated directly. *)
+let unrolled_speedup factor (w : Workload.t) =
+  let options = { Compile.default_options with unroll_factor = factor } in
+  let program = Compile.compile ~options w.Workload.source in
+  Elag_verify.Lint.enforce program;
+  let cycles mech =
+    (fst (Pipeline.simulate (Config.with_mechanism mech Config.default) program))
+      .Pipeline.cycles
+  in
+  float_of_int (cycles Config.No_early) /. float_of_int (cycles dual_cc)
 
 let run_ablation engine =
   Printf.printf "Ablations: dual-path compiler-directed speedup vs design choices\n\n";
-  let programs =
-    List.map (fun n -> (n, Engine.program engine (Suite.find n))) ablation_panel
-  in
   (* Oracle bound: if every load had zero latency and never missed, how
      fast could ANY early address-generation scheme possibly be?  The
      gap between dual-cc and this bound is the paper's headroom. *)
-  Printf.printf "speedup ceiling (zero-latency, never-missing loads)\n ";
-  List.iter
-    (fun (n, p) ->
-      let base = Config.with_mechanism Config.No_early Config.default in
-      let oracle =
-        Config.make ~load_latency:0 ~miss_penalty:0 ~mechanism:Config.No_early ()
-      in
-      let b, _ = Pipeline.simulate base p in
-      let o, _ = Pipeline.simulate oracle p in
-      Printf.printf "  %s %.3f" n
-        (float_of_int b.Pipeline.cycles /. float_of_int o.Pipeline.cycles))
-    programs;
+  let oracle = Config.make ~load_latency:0 ~miss_penalty:0 () in
+  print_row engine "speedup ceiling (zero-latency, never-missing loads)\n " (fun w ->
+      float_of_int (Engine.base_cycles engine w)
+      /. float_of_int (Engine.base_cycles ~config:oracle engine w));
   Printf.printf "\n\n";
-  Printf.printf "issue width (paper: 6)\n";
-  List.iter
-    (fun width ->
-      Printf.printf "  width %d:" width;
-      List.iter
-        (fun (n, p) ->
-          Printf.printf "  %s %.3f" n
-            (speedup_with (Config.with_issue_width width Config.default) p))
-        programs;
-      print_newline ())
-    [ 2; 4; 6; 8 ];
-  Printf.printf "\ncache associativity (paper: direct-mapped)\n";
-  List.iter
-    (fun ways ->
-      Printf.printf "  %d-way:" ways;
-      List.iter
-        (fun (n, p) ->
-          Printf.printf "  %s %.3f" n
-            (speedup_with (Config.with_cache_ways ways Config.default) p))
-        programs;
-      print_newline ())
-    [ 1; 2; 4 ];
-  Printf.printf "\ncache miss penalty (paper: 12 cycles)\n";
-  List.iter
-    (fun pen ->
-      Printf.printf "  penalty %2d:" pen;
-      List.iter
-        (fun (n, p) ->
-          Printf.printf "  %s %.3f" n
-            (speedup_with (Config.with_miss_penalty pen Config.default) p))
-        programs;
-      print_newline ())
-    [ 4; 12; 30 ];
-  Printf.printf "\nunroll factor at compile time (default: 4)\n";
-  List.iter
-    (fun factor ->
-      Printf.printf "  unroll %d:" factor;
-      List.iter
-        (fun name ->
-          let w = Suite.find name in
-          let ir =
-            Elag_ir.Lower.lower_program
-              (Elag_minic.Sema.check (Elag_minic.Parser.parse w.Workload.source))
-          in
-          ignore (Elag_opt.Driver.optimize ~unroll_factor:factor ir);
-          Elag_core.Classify.run ir;
-          let program = Elag_codegen.Codegen.generate ir in
-          Printf.printf "  %s %.3f" name (speedup_with Config.default program))
-        ablation_panel;
-      print_newline ())
-    [ 0; 4; 8 ];
-  Printf.printf "\ntable size under the dual-path scheme\n";
-  List.iter
-    (fun entries ->
-      Printf.printf "  table %4d:" entries;
-      List.iter
-        (fun (n, p) ->
-          let dual =
-            Config.with_mechanism
-              (Config.Dual { table_entries = entries; selection = Config.Compiler_directed })
-              Config.default
-          in
-          let base = Config.with_mechanism Config.No_early Config.default in
-          let b, _ = Pipeline.simulate base p in
-          let d, _ = Pipeline.simulate dual p in
-          Printf.printf "  %s %.3f" n
-            (float_of_int b.Pipeline.cycles /. float_of_int d.Pipeline.cycles))
-        programs;
-      print_newline ())
-    [ 16; 64; 256; 1024 ]
+  let rows title label args speedup =
+    Printf.printf "%s\n" title;
+    List.iter
+      (fun arg ->
+        print_row engine (label arg) (speedup arg);
+        print_newline ())
+      args
+  in
+  let under with_ v w = Engine.speedup ~config:(with_ v Config.default) engine w dual_cc in
+  rows "issue width (paper: 6)" (Printf.sprintf "  width %d:") [ 2; 4; 6; 8 ]
+    (under Config.with_issue_width);
+  rows "\ncache associativity (paper: direct-mapped)" (Printf.sprintf "  %d-way:")
+    [ 1; 2; 4 ] (under Config.with_cache_ways);
+  rows "\ncache miss penalty (paper: 12 cycles)" (Printf.sprintf "  penalty %2d:")
+    [ 4; 12; 30 ] (under Config.with_miss_penalty);
+  rows "\nunroll factor at compile time (default: 4)" (Printf.sprintf "  unroll %d:")
+    [ 0; 4; 8 ] unrolled_speedup;
+  rows "\ntable size under the dual-path scheme" (Printf.sprintf "  table %4d:")
+    [ 16; 64; 256; 1024 ] (fun entries w ->
+      Engine.speedup engine w
+        (Config.Dual { table_entries = entries; selection = Config.Compiler_directed }))
 
 (* --- machine-readable pipeline report ------------------------------------ *)
 
@@ -336,7 +197,7 @@ let run_engine_bench jobs =
 
 let () =
   let jobs = ref (Pool.default_jobs ()) in
-  let mode = ref "all" in
+  let mode = ref "" in
   let rec parse = function
     | [] -> ()
     | "-j" :: n :: rest ->
@@ -354,19 +215,11 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   let engine () = Engine.create ~jobs:!jobs () in
   match !mode with
-  | "table2" -> Experiments.print_table2 (engine ())
-  | "fig5a" -> Experiments.print_fig5a (engine ())
-  | "fig5b" -> Experiments.print_fig5b (engine ())
-  | "fig5c" -> Experiments.print_fig5c (engine ())
-  | "table3" -> Experiments.print_table3 (engine ())
-  | "table4" -> Experiments.print_table4 (engine ())
-  | "all" -> Experiments.run_all (engine ())
-  | "micro" -> run_micro ()
   | "ablation" -> run_ablation (engine ())
   | "report" -> run_report (engine ())
   | "engine" -> run_engine_bench !jobs
   | other ->
-    prerr_endline ("unknown mode: " ^ other);
-    prerr_endline
-      "modes: all table2 fig5a fig5b fig5c table3 table4 micro ablation report engine [-j N]";
+    if other <> "" then prerr_endline ("unknown mode: " ^ other);
+    prerr_endline "usage: bench/main.exe (ablation | report | engine) [-j N]";
+    prerr_endline "paper tables and figures: bin/elag_experiments.exe";
     exit 1

@@ -24,7 +24,6 @@
      --budget-ms M   stop scheduling new work after M ms of wall clock
      --timeout-ms M  per-iteration budget; hung iterations report
                      Job_timeout instead of wedging a worker
-     --retries N     crash retries per iteration (timeouts never retry)
      --corpus DIR    persist shrunk minimal repros under DIR
      --mutation NAME plant a reference mutation (guarded test hook
                      proving detection; see corpus docs) *)
@@ -46,7 +45,7 @@ let usage () =
     "usage: elag_experiments [-j N] [table2|fig5a|fig5b|fig5c|table3|table4|all\
      |lint|faults|verify-smoke|verify|fuzz]\n\
      fuzz flags: [--seed S] [--iters N] [--budget-ms M] [--timeout-ms M]\n\
-    \            [--retries N] [--corpus DIR] [--mutation NAME]";
+    \            [--corpus DIR] [--mutation NAME]";
   exit 1
 
 (* Each suite prints one line per item and returns whether it was
@@ -80,8 +79,7 @@ let finish ok = if not ok then exit 1
 
 (* The campaign summary is the artifact: deterministic JSON on stdout,
    exit 1 on any finding or job failure so CI can gate on it. *)
-let fuzz_campaign ~jobs ~seed ~iters ~budget_ms ~timeout_ms ~retries
-    ~corpus_dir ~mutation =
+let fuzz_campaign ~jobs ~seed ~iters ~budget_ms ~timeout_ms ~corpus_dir ~mutation =
   (match mutation with
   | Some m when not (List.mem m Gen.mutation_names) ->
     Printf.eprintf "unknown mutation %s\nknown mutations: %s\n" m
@@ -89,13 +87,7 @@ let fuzz_campaign ~jobs ~seed ~iters ~budget_ms ~timeout_ms ~retries
     usage ()
   | _ -> ());
   let config =
-    { Campaign.default with
-      seed
-    ; iters
-    ; mutation
-    ; timeout_ms
-    ; retries
-    ; corpus_dir }
+    { Campaign.default with seed; iters; mutation; timeout_ms; corpus_dir }
   in
   let summary = Campaign.run ~jobs ?budget_ms config in
   print_endline (Json.to_string ~pretty:true (Campaign.summary_json summary));
@@ -109,7 +101,6 @@ let () =
   and iters = ref 100
   and budget_ms = ref None
   and timeout_ms = ref None
-  and retries = ref 0
   and corpus_dir = ref None
   and mutation = ref None in
   let int_arg n = match int_of_string_opt n with
@@ -129,11 +120,10 @@ let () =
     | "--iters" :: n :: rest -> iters := int_arg n; parse rest
     | "--budget-ms" :: n :: rest -> budget_ms := Some (pos_arg n); parse rest
     | "--timeout-ms" :: n :: rest -> timeout_ms := Some (pos_arg n); parse rest
-    | "--retries" :: n :: rest -> retries := int_arg n; parse rest
     | "--corpus" :: dir :: rest -> corpus_dir := Some dir; parse rest
     | "--mutation" :: name :: rest -> mutation := Some name; parse rest
-    | [ ("-j" | "--seed" | "--iters" | "--budget-ms" | "--timeout-ms"
-        | "--retries" | "--corpus" | "--mutation") ] -> usage ()
+    | [ ("-j" | "--seed" | "--iters" | "--budget-ms" | "--timeout-ms" | "--corpus"
+        | "--mutation") ] -> usage ()
     | arg :: _ when String.length arg > 2 && String.sub arg 0 2 = "--" ->
       usage ()
     | arg :: rest ->
@@ -143,8 +133,7 @@ let () =
   parse (List.tl (Array.to_list Sys.argv));
   if !artifact = "fuzz" then
     fuzz_campaign ~jobs:!jobs ~seed:!seed ~iters:!iters ~budget_ms:!budget_ms
-      ~timeout_ms:!timeout_ms ~retries:!retries ~corpus_dir:!corpus_dir
-      ~mutation:!mutation
+      ~timeout_ms:!timeout_ms ~corpus_dir:!corpus_dir ~mutation:!mutation
   else begin
   let engine = Engine.create ~jobs:!jobs () in
   match !artifact with

@@ -110,9 +110,9 @@ let () =
     Elag_workloads.Runtime.with_prelude s
   in
   let options =
-    { Compile.opt_level = !level
-    ; classification = (if !classify then Compile.Heuristics else Compile.No_classification)
-    ; inline_threshold = Elag_opt.Inline.default_threshold }
+    { Compile.default_options with
+      opt_level = !level
+    ; classification = (if !classify then Compile.Heuristics else Compile.No_classification) }
   in
   Diag.guard "elagc" @@ fun () ->
   try

@@ -11,22 +11,19 @@ type variant = Classified | Reclassified
 
 type t =
   { jobs : int
-  ; base_config : Config.t
   ; programs : (string, Program.t) Cache.t        (* workload name *)
   ; profiles : (string, Profile.t) Cache.t
   ; reclassifieds : (string, Program.t) Cache.t
   ; sims : (string, Pipeline.stats) Cache.t }     (* workload + variant + config *)
 
-let create ?jobs ?(config = Config.default) () =
+let create ?jobs () =
   { jobs = (match jobs with Some j -> max 1 j | None -> Pool.default_jobs ())
-  ; base_config = config
   ; programs = Cache.create ()
   ; profiles = Cache.create ()
   ; reclassifieds = Cache.create ()
   ; sims = Cache.create ~size:256 () }
 
 let jobs t = t.jobs
-let base_config t = t.base_config
 
 (* Every artifact the engine hands out has passed the static lint:
    a malformed compilation result is rejected here, before it can burn
@@ -55,10 +52,10 @@ let variant_suffix = function Classified -> "" | Reclassified -> "+prof"
 
 let simulate ?(variant = Classified) ?config t (w : Workload.t) mechanism =
   let cfg =
-    Config.with_mechanism mechanism (Option.value config ~default:t.base_config)
+    Config.with_mechanism mechanism (Option.value config ~default:Config.default)
   in
   (* The key covers the full machine configuration, not just the
-     mechanism name, so per-job config overrides can never collide. *)
+     mechanism name, so [?config] overrides can never collide. *)
   let key =
     w.Workload.name ^ variant_suffix variant ^ "|" ^ Json.to_string (Config.to_json cfg)
   in
@@ -122,11 +119,9 @@ module Job = struct
   type nonrec t =
     { workload : Workload.t
     ; mechanism : Config.mechanism
-    ; variant : variant
-    ; config : Config.t }
+    ; variant : variant }
 
-  let make ?(variant = Classified) ?(config = Config.default) workload mechanism =
-    { workload; mechanism; variant; config }
+  let make ?(variant = Classified) workload mechanism = { workload; mechanism; variant }
 
   let name j =
     j.workload.Workload.name ^ "/" ^ Config.mechanism_name j.mechanism
@@ -136,14 +131,14 @@ end
 let map t f items = Pool.map_list ~jobs:t.jobs f items
 
 let run_job t (j : Job.t) =
-  simulate ~variant:j.Job.variant ~config:j.Job.config t j.Job.workload j.Job.mechanism
+  simulate ~variant:j.Job.variant t j.Job.workload j.Job.mechanism
 
 let run_jobs t js = map t (fun j -> (j, run_job t j)) js
 
 let sweep_json t js =
   let row (j : Job.t) =
     let s = run_job t j in
-    let base = base_cycles ~config:j.Job.config t j.Job.workload in
+    let base = base_cycles t j.Job.workload in
     let w = j.Job.workload in
     Json.Obj
       [ ("workload", Json.String w.Workload.name)
@@ -166,6 +161,6 @@ let sweep_json t js =
   in
   Json.Obj
     [ ("schema", Json.String "elag.engine.sweep.v1")
-    ; ("config", Config.to_json t.base_config)
+    ; ("config", Config.to_json Config.default)
     ; ("job_count", Json.Int (List.length js))
     ; ("results", Json.List (map t row js)) ]

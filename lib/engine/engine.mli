@@ -22,13 +22,11 @@ module Workload = Elag_workloads.Workload
 
 type t
 
-val create : ?jobs:int -> ?config:Config.t -> unit -> t
-(** [create ()] sizes the pool with [Pool.default_jobs ()] and uses
-    [Config.default] (mechanism field ignored) as the machine model. *)
+val create : ?jobs:int -> unit -> t
+(** [create ()] sizes the pool with [Pool.default_jobs ()].  The
+    machine model is [Config.default] unless a call passes [?config]. *)
 
 val jobs : t -> int
-
-val base_config : t -> Config.t
 
 (** Which classification of the program a result is measured on. *)
 type variant = Classified | Reclassified
@@ -73,16 +71,13 @@ module Job : sig
   type t =
     { workload : Workload.t
     ; mechanism : Config.mechanism
-    ; variant : variant
-    ; config : Config.t }
+    ; variant : variant }
+  (** Simulated on [Config.default] with [mechanism] swapped in. *)
 
-  val make :
-    ?variant:variant -> ?config:Config.t -> Workload.t ->
-    Config.mechanism -> t
+  val make : ?variant:variant -> Workload.t -> Config.mechanism -> t
 
   val name : t -> string
-  (** ["workload/mechanism[+prof]"], unique within a homogeneous-config
-      grid. *)
+  (** ["workload/mechanism[+prof]"], unique within a grid. *)
 end
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list

@@ -11,50 +11,42 @@ let () =
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-let run ~jobs f (items : 'a array) : 'b array =
+(* The one worker loop behind [run] and [run_supervised]: up to [jobs]
+   domains claim indices from a shared counter and store [f item] in
+   the item's slot.  [f] must not raise — both callers turn failures
+   into values — so every job runs even after an early failure. *)
+let collect ~jobs f (items : 'a array) : 'b array =
   let n = Array.length items in
-  let jobs = max 1 (min jobs n) in
-  let results : ('b, exn * Printexc.raw_backtrace) result option array =
-    Array.make n None
+  let results : 'b option array = Array.make n None in
+  let next = Atomic.make 0 in
+  let rec worker () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < n then begin
+      results.(i) <- Some (f items.(i));
+      worker ()
+    end
   in
-  let exec i =
-    results.(i) <-
-      Some
-        (try Ok (f items.(i))
-         with e -> Error (e, Printexc.get_raw_backtrace ()))
+  let domains = Array.init (max 1 (min jobs n) - 1) (fun _ -> Domain.spawn worker) in
+  worker ();
+  Array.iter Domain.join domains;
+  Array.map
+    (function
+      | Some r -> r
+      | None -> assert false (* every index was claimed exactly once *))
+    results
+
+let run ~jobs f (items : 'a array) : 'b array =
+  let results =
+    collect ~jobs
+      (fun item -> try Ok (f item) with e -> Error (e, Printexc.get_raw_backtrace ()))
+      items
   in
-  if jobs <= 1 then
-    (* Same failure semantics as the parallel path: every job runs and
-       every failure is collected, even after an early one. *)
-    for i = 0 to n - 1 do
-      exec i
-    done
-  else begin
-    let next = Atomic.make 0 in
-    let rec worker () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        exec i;
-        worker ()
-      end
-    in
-    let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join domains
-  end;
   let failures = ref [] in
   Array.iteri
-    (fun i r ->
-      match r with
-      | Some (Error eb) -> failures := (i, eb) :: !failures
-      | Some (Ok _) -> ()
-      | None -> assert false (* every index was claimed exactly once *))
+    (fun i -> function Error eb -> failures := (i, eb) :: !failures | Ok _ -> ())
     results;
   match List.rev !failures with
-  | [] ->
-    Array.map
-      (function Some (Ok v) -> v | _ -> assert false (* no failures *))
-      results
+  | [] -> Array.map (function Ok v -> v | Error _ -> assert false (* no failures *)) results
   | [ (_, (e, bt)) ] ->
     (* A lone failure keeps its identity (and backtrace) so callers'
        specific handlers — Compile.Error, Lint.Rejected — still fire. *)
@@ -67,94 +59,43 @@ let map_list ~jobs f items = Array.to_list (run ~jobs f (Array.of_list items))
 (* --- supervised runs --------------------------------------------------- *)
 
 (* The graceful-degradation mode the fuzz campaigns (and any long
-   unattended run) need: a job that times out or keeps crashing
-   becomes a structured per-index result instead of an exception that
-   aborts the whole batch.
+   unattended run) need: a job that times out or crashes becomes a
+   structured per-index result instead of an exception that aborts the
+   whole batch.  Jobs are deterministic, so a crash would recur on
+   every attempt: each job runs exactly once.
 
    Cancellation is cooperative — a domain cannot be killed, so each
-   attempt gets a fresh {!Elag_verify.Deadline} and the job function
-   is expected to poll it from its hot path (simulator jobs poll once
-   per retired instruction through the observer hook).  A job that
-   never polls cannot be reclaimed; everything this repository runs on
-   the pool retires instructions, so every job polls. *)
+   job gets a fresh {!Elag_verify.Deadline} and is expected to poll it
+   from its hot path (simulator jobs poll once per retired instruction
+   through the observer hook).  A job that never polls cannot be
+   reclaimed; everything this repository runs on the pool retires
+   instructions, so every job polls. *)
 
 module Deadline = Elag_verify.Deadline
 
 type failure =
-  | Job_failed of { attempts : int; message : string }
-  | Job_timeout of { timeout_ms : int; attempts : int }
+  | Job_failed of { message : string }
+  | Job_timeout of { timeout_ms : int }
 
 type 'b outcome = ('b, failure) result
 
 let pp_failure ppf = function
-  | Job_failed { attempts; message } ->
-    Fmt.pf ppf "failed after %d attempt%s: %s" attempts
-      (if attempts = 1 then "" else "s")
-      message
-  | Job_timeout { timeout_ms; attempts } ->
-    Fmt.pf ppf "timed out (%d ms budget, attempt %d)" timeout_ms attempts
+  | Job_failed { message } -> Fmt.pf ppf "failed: %s" message
+  | Job_timeout { timeout_ms } -> Fmt.pf ppf "timed out (%d ms budget)" timeout_ms
 
 let failure_to_string f = Fmt.str "%a" pp_failure f
 
-let run_supervised ?timeout_ms ?(retries = 0) ?(backoff_ms = 5) ~jobs f
-    (items : 'a array) : 'b outcome array =
-  if retries < 0 then invalid_arg "Pool.run_supervised: negative retries";
+let run_supervised ?timeout_ms ~jobs f (items : 'a array) : 'b outcome array =
   (match timeout_ms with
   | Some t when t <= 0 -> invalid_arg "Pool.run_supervised: non-positive timeout"
   | _ -> ());
-  let n = Array.length items in
-  let jobs = max 1 (min jobs n) in
-  let results : 'b outcome option array = Array.make n None in
-  let attempt_one item =
-    let deadline = Deadline.opt timeout_ms in
-    match f deadline item with
-    | v -> Ok v
-    | exception Deadline.Job_timeout { timeout_ms } -> Error (`Timeout timeout_ms)
-    | exception e -> Error (`Crash (Printexc.to_string e))
-  in
-  let exec i =
-    (* Bounded retry with exponential backoff covers transient crashes
-       (a flaky external resource, an allocation blip); a timeout is
-       never retried — a deterministic job that overran its wall-clock
-       budget once will overrun it again, and retrying would stall the
-       whole batch behind one pathological input. *)
-    let rec go attempt =
-      match attempt_one items.(i) with
-      | Ok v -> Ok v
-      | Error (`Timeout timeout_ms) ->
-        Error (Job_timeout { timeout_ms; attempts = attempt })
-      | Error (`Crash message) ->
-        if attempt <= retries then begin
-          Unix.sleepf
-            (float_of_int (backoff_ms * (1 lsl (attempt - 1))) /. 1000.);
-          go (attempt + 1)
-        end
-        else Error (Job_failed { attempts = attempt; message })
-    in
-    results.(i) <- Some (go 1)
-  in
-  if jobs <= 1 then
-    for i = 0 to n - 1 do
-      exec i
-    done
-  else begin
-    let next = Atomic.make 0 in
-    let rec worker () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        exec i;
-        worker ()
-      end
-    in
-    let domains = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    Array.iter Domain.join domains
-  end;
-  Array.map
-    (function
-      | Some r -> r
-      | None -> assert false (* every index was claimed exactly once *))
-    results
+  collect ~jobs
+    (fun item ->
+      match f (Deadline.opt timeout_ms) item with
+      | v -> Ok v
+      | exception Deadline.Job_timeout { timeout_ms } -> Error (Job_timeout { timeout_ms })
+      | exception e -> Error (Job_failed { message = Printexc.to_string e }))
+    items
 
 let outcome_failures outcomes =
   let acc = ref [] in

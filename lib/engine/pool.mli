@@ -31,18 +31,16 @@ val map_list : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     eventually aborts the caller.  Long unattended runs (fuzz
     campaigns, overnight sweeps) instead need graceful degradation —
     one hung or crashed job must not take down the other thousand.
-    {!run_supervised} gives every job a wall-clock deadline and a
-    bounded retry budget and reports per-job outcomes. *)
+    {!run_supervised} gives every job a wall-clock deadline and reports
+    per-job outcomes.  It shares {!run}'s worker loop. *)
 
 type failure =
-  | Job_failed of { attempts : int; message : string }
-    (** The job raised on every attempt; [message] is the last
-        attempt's exception. *)
-  | Job_timeout of { timeout_ms : int; attempts : int }
+  | Job_failed of { message : string }
+    (** The job raised; [message] is its exception.  Jobs are
+        deterministic, so a failed job is not run again. *)
+  | Job_timeout of { timeout_ms : int }
     (** The job overran its wall-clock budget
-        ({!Elag_verify.Deadline.Job_timeout}).  Timeouts are never
-        retried: a deterministic job that overran once will overrun
-        again. *)
+        ({!Elag_verify.Deadline.Job_timeout}). *)
 
 type 'b outcome = ('b, failure) result
 
@@ -52,22 +50,20 @@ val failure_to_string : failure -> string
 
 val run_supervised :
   ?timeout_ms:int ->
-  ?retries:int ->
-  ?backoff_ms:int ->
   jobs:int ->
   (Elag_verify.Deadline.t -> 'a -> 'b) ->
   'a array ->
   'b outcome array
 (** [run_supervised ~jobs f items] is {!run} with supervision: each
-    attempt receives a fresh deadline ([timeout_ms] of wall clock;
-    omitted = never) that the job must poll ({!Elag_verify.Deadline.check},
-    typically from a per-retired-instruction observer).  Cancellation
-    is cooperative — a job that never polls cannot be reclaimed.
-    Crashes are retried up to [retries] times (default 0) with
-    exponential backoff starting at [backoff_ms] (default 5 ms);
-    outcomes come back in item order, [Error] for jobs that timed out
-    or exhausted their attempts.  Results are deterministic at every
-    [jobs] setting whenever [f] is pure and no job times out. *)
+    job runs once and receives a fresh deadline ([timeout_ms] of wall
+    clock; omitted = never) that it must poll
+    ({!Elag_verify.Deadline.check}, typically from a
+    per-retired-instruction observer).  Cancellation is cooperative — a
+    job that never polls cannot be reclaimed.  Outcomes come back in
+    item order, [Error] for jobs that raised or timed out.  Results are
+    deterministic at every [jobs] setting whenever [f] is pure and no
+    job times out.  Raises [Invalid_argument] on a non-positive
+    [timeout_ms]. *)
 
 val outcome_failures : 'b outcome array -> (int * failure) list
 (** The failed indices of a supervised run, in index order. *)

@@ -80,10 +80,8 @@ let fault_matrix =
 let fault_smoke =
   List.filter (fun e -> e.workload = "PGP Decode") fault_matrix
 
-let config_of engine name =
-  Config.with_mechanism
-    (Config.Mechanism.of_string_exn name)
-    (Engine.base_config engine)
+let config_of name =
+  Config.with_mechanism (Config.Mechanism.of_string_exn name) Config.default
 
 let run_fault_suite ?(entries = fault_matrix) engine =
   (* One fault-free baseline per distinct (workload, mechanism). *)
@@ -93,7 +91,7 @@ let run_fault_suite ?(entries = fault_matrix) engine =
       let key = (e.workload, e.mechanism) in
       if not (Hashtbl.mem baselines key) then begin
         let w = Suite.find e.workload in
-        let cfg = config_of engine e.mechanism in
+        let cfg = config_of e.mechanism in
         Hashtbl.add baselines key
           (Fault.baseline cfg (Engine.program engine w))
       end)
@@ -101,7 +99,7 @@ let run_fault_suite ?(entries = fault_matrix) engine =
   Engine.map engine
     (fun e ->
       let w = Suite.find e.workload in
-      let cfg = config_of engine e.mechanism in
+      let cfg = config_of e.mechanism in
       let baseline = Hashtbl.find baselines (e.workload, e.mechanism) in
       (e, Fault.run_plan ~baseline cfg (Engine.program engine w) e.plan))
     entries
@@ -115,7 +113,7 @@ let run_lint_suite engine =
 let run_oracle_suite
     ?(mechanism = Config.Dual { table_entries = 256; selection = Config.Compiler_directed })
     ?(workloads = Suite.all) engine =
-  let cfg = Config.with_mechanism mechanism (Engine.base_config engine) in
+  let cfg = Config.with_mechanism mechanism Config.default in
   Engine.map engine
     (fun (w : Workload.t) ->
       (w.Workload.name, Oracle.run cfg (Engine.program engine w)))

@@ -36,7 +36,6 @@ type config =
   ; fault_every : int  (* every k-th iteration layers a fault plan; 0 = never *)
   ; mutation : string option
   ; timeout_ms : int option
-  ; retries : int
   ; corpus_dir : string option }
 
 let default =
@@ -48,7 +47,6 @@ let default =
   ; fault_every = 3
   ; mutation = None
   ; timeout_ms = None
-  ; retries = 0
   ; corpus_dir = None }
 
 type kind = Divergence | Fault_violation | Lint_reject | Crash
@@ -320,8 +318,7 @@ let run ?(jobs = 1) ?budget_ms config =
     let n = min batch_size remaining in
     let batch = Array.sub seeds !completed n in
     let outcomes =
-      Pool.run_supervised ?timeout_ms:config.timeout_ms ~retries:config.retries
-        ~jobs
+      Pool.run_supervised ?timeout_ms:config.timeout_ms ~jobs
         (fun deadline item -> run_iteration config deadline item)
         batch
     in
@@ -441,8 +438,7 @@ let summary_json summary =
           ; ( "timeout_ms"
             , match c.timeout_ms with
               | None -> Json.Null
-              | Some t -> Json.Int t )
-          ; ("retries", Json.Int c.retries) ] )
+              | Some t -> Json.Int t ) ] )
     ; ("metrics", Metrics.to_json (metrics summary))
     ; ("findings", Json.List (List.map finding_to_json summary.findings))
     ; ( "failures"

@@ -28,7 +28,6 @@ type config =
     (** planted reference mutation ({!Gen.mutation_names}) — the
         guarded test hook proving the campaign catches real bugs *)
   ; timeout_ms : int option  (** per-iteration wall-clock budget *)
-  ; retries : int  (** crash retries per iteration (timeouts never retry) *)
   ; corpus_dir : string option  (** where minimal repros are persisted *) }
 
 val default : config

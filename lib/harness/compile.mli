@@ -9,10 +9,11 @@ type classification =
 type options =
   { opt_level : Elag_opt.Driver.level
   ; classification : classification
-  ; inline_threshold : int }
+  ; inline_threshold : int
+  ; unroll_factor : int  (** loop unrolling at O2; below 2 disables it *) }
 
 val default_options : options
-(** O2, heuristics, default inline threshold. *)
+(** O2, heuristics, default inline threshold and unroll factor. *)
 
 exception Error of string
 (** Parse or type errors, with position formatted into the message. *)

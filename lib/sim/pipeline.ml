@@ -26,7 +26,9 @@
    Telemetry: besides the flat {!stats} record the model attributes
    every non-issuing cycle to a {!Elag_telemetry.Stall.t} cause and
    keeps a per-static-load table ({!load_site}) so reproduction gaps
-   can be localized to individual loads.  Attribution charges the
+   can be localized to individual loads.  Load, speculation and
+   load-latency counts are kept only per site; {!stats} and
+   {!load_latency_histogram} sum the sites.  Attribution charges the
    binding (latest) constraint: operand-readiness cycles go to the
    cause recorded when the producing register was written (load-use /
    dcache-miss / raw-dependence), front-end cycles to the event that
@@ -178,8 +180,7 @@ type t =
   ; mutable busy_cycles : int  (* distinct cycles with >= 1 issue *)
   ; stall_cycles : int array   (* indexed by Stall.index *)
   ; mutable drain_cause : Stall.t  (* cause of the latest writeback *)
-  ; load_latency_hist : Histogram.t
-  ; stats : stats }
+  ; stats : stats  (* load fields stay 0: [stats] sums them from [sites] *) }
 
 let create (cfg : Config.t) =
   let table =
@@ -240,7 +241,6 @@ let create (cfg : Config.t) =
   ; busy_cycles = 0
   ; stall_cycles = Array.make Stall.cardinal 0
   ; drain_cause = Stall.Raw_dependence
-  ; load_latency_hist = Histogram.create ~bounds:Histogram.load_latency_bounds
   ; stats = fresh_stats () }
 
 (* Integer-specialized [max]/[min]: the polymorphic ones go through the
@@ -483,11 +483,6 @@ let select_path t c (d : decoded) =
 
 (* --- per-instruction processing --------------------------------------- *)
 
-let count_load_spec stats = function
-  | Insn.Ld_n -> stats.loads_n <- stats.loads_n + 1
-  | Insn.Ld_p -> stats.loads_p <- stats.loads_p + 1
-  | Insn.Ld_e -> stats.loads_e <- stats.loads_e + 1
-
 (* Allocation-free: no closures, no tuples, no options; all per-load
    state lives in [t]'s mutable fields and the predecoded record. *)
 let process t pc insn eff taken next_pc =
@@ -558,8 +553,6 @@ let process t pc insn eff taken next_pc =
   let def_cause = ref Stall.Raw_dependence in
   (* loads *)
   if d.is_load then begin
-    s.loads <- s.loads + 1;
-    count_load_spec s d.spec;
     let site = d.site in
     site.site_count <- site.site_count + 1;
     let path = t.sel_path in
@@ -595,24 +588,13 @@ let process t pc insn eff taken next_pc =
       end;
       (match path with
       | Table_path ->
-        s.table_attempts <- s.table_attempts + 1;
         site.site_table_attempts <- site.site_table_attempts + 1;
-        if t.ev_success then begin
-          s.table_successes <- s.table_successes + 1;
-          site.site_table_successes <- site.site_table_successes + 1
-        end
+        if t.ev_success then site.site_table_successes <- site.site_table_successes + 1
       | Calc_path ->
-        s.calc_attempts <- s.calc_attempts + 1;
         site.site_calc_attempts <- site.site_calc_attempts + 1;
-        if t.ev_success then begin
-          s.calc_successes <- s.calc_successes + 1;
-          site.site_calc_successes <- site.site_calc_successes + 1
-        end
+        if t.ev_success then site.site_calc_successes <- site.site_calc_successes + 1
       | No_path -> ());
-      if not t.ev_success then begin
-        s.wasted_spec <- s.wasted_spec + 1;
-        site.site_wasted_spec <- site.site_wasted_spec + 1
-      end
+      if not t.ev_success then site.site_wasted_spec <- site.site_wasted_spec + 1
     end;
     let load_missed = ref false in
     let lat =
@@ -633,11 +615,9 @@ let process t pc insn eff taken next_pc =
         else t.cfg.load_latency + (if hit then 0 else t.cfg.miss_penalty)
       end
     in
-    s.load_latency_sum <- s.load_latency_sum + lat;
     site.site_latency_sum <- site.site_latency_sum + lat;
     if !load_missed then site.site_dcache_misses <- site.site_dcache_misses + 1;
     Histogram.observe site.site_latency lat;
-    Histogram.observe t.load_latency_hist lat;
     latency := lat;
     def_cause := if !load_missed then Stall.Dcache_miss else Stall.Load_use;
     (* the table entry is updated at MEM with the computed address *)
@@ -696,8 +676,6 @@ let set_tracer t f = t.tracer <- Some f
 let observer t : Emulator.observer = fun pc insn eff taken next_pc ->
   process t pc insn eff taken next_pc
 
-let stats t = t.stats
-
 let config t = t.cfg
 
 let table_stats t = Option.map Addr_table.stats t.table
@@ -735,7 +713,29 @@ let load_sites t =
     (fun site acc -> if site == no_site then acc else site :: acc)
     t.sites []
 
-let load_latency_histogram t = t.load_latency_hist
+let stats t =
+  let s = { t.stats with loads = 0 } in
+  List.iter
+    (fun site ->
+      let n = site.site_count in
+      s.loads <- s.loads + n;
+      (match site.site_spec with
+      | Insn.Ld_n -> s.loads_n <- s.loads_n + n
+      | Insn.Ld_p -> s.loads_p <- s.loads_p + n
+      | Insn.Ld_e -> s.loads_e <- s.loads_e + n);
+      s.table_attempts <- s.table_attempts + site.site_table_attempts;
+      s.table_successes <- s.table_successes + site.site_table_successes;
+      s.calc_attempts <- s.calc_attempts + site.site_calc_attempts;
+      s.calc_successes <- s.calc_successes + site.site_calc_successes;
+      s.wasted_spec <- s.wasted_spec + site.site_wasted_spec;
+      s.load_latency_sum <- s.load_latency_sum + site.site_latency_sum)
+    (load_sites t);
+  s
+
+let load_latency_histogram t =
+  let h = Histogram.create ~bounds:Histogram.load_latency_bounds in
+  List.iter (fun site -> Histogram.merge_into ~into:h site.site_latency) (load_sites t);
+  h
 
 (* Run a program under this configuration; returns the pipeline (for
    telemetry extraction) and the program's printed output. *)
@@ -748,4 +748,4 @@ let run ?max_insns (cfg : Config.t) program =
 (* Run a program under this configuration and return final statistics. *)
 let simulate ?max_insns (cfg : Config.t) program =
   let t, output = run ?max_insns cfg program in
-  (t.stats, output)
+  (stats t, output)

@@ -68,6 +68,8 @@ val set_tracer : t -> (int -> Elag_isa.Insn.t -> int -> int -> unit) -> unit
 val observer : t -> Emulator.observer
 
 val stats : t -> stats
+(** A snapshot of the run so far.  The load, speculation and latency
+    fields are the sums of {!load_sites}. *)
 
 val config : t -> Config.t
 
@@ -105,11 +107,12 @@ val stall_breakdown : t -> (Elag_telemetry.Stall.t * int) list
 val stall_total : t -> int
 
 val load_sites : t -> load_site list
-(** Every load PC observed this run, ascending; the sites'
-    [site_count]s sum to [(stats t).loads]. *)
+(** Every load PC observed this run, ascending.  These records are the
+    only place the per-load counters are kept. *)
 
 val load_latency_histogram : t -> Elag_telemetry.Histogram.t
-(** Aggregate effective-latency distribution over all loads. *)
+(** Aggregate effective-latency distribution over all loads: a fresh
+    merge of the sites' histograms. *)
 
 val run : ?max_insns:int -> Config.t -> Elag_isa.Program.t -> t * string
 (** Emulate the program under this configuration; returns the pipeline

@@ -38,10 +38,18 @@ let bucket_index t v =
   end
 
 let observe t v =
-  t.counts.(bucket_index t v) <- t.counts.(bucket_index t v) + 1;
+  let i = bucket_index t v in
+  t.counts.(i) <- t.counts.(i) + 1;
   t.total <- t.total + 1;
   t.sum <- t.sum + v;
   if v > t.max_seen then t.max_seen <- v
+
+let merge_into ~into t =
+  if into.bounds <> t.bounds then invalid_arg "Histogram.merge_into: different bounds";
+  Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) t.counts;
+  into.total <- into.total + t.total;
+  into.sum <- into.sum + t.sum;
+  if t.max_seen > into.max_seen then into.max_seen <- t.max_seen
 
 let count t = t.total
 let sum t = t.sum

@@ -18,6 +18,11 @@ val load_latency_bounds : int array
 
 val observe : t -> int -> unit
 
+val merge_into : into:t -> t -> unit
+(** [merge_into ~into t] adds every observation of [t] to [into], as
+    if each had been observed there too.  Raises [Invalid_argument]
+    when the bounds differ. *)
+
 val count : t -> int
 
 val sum : t -> int

@@ -11,8 +11,8 @@ dune build @all
 echo "== dune runtest =="
 dune runtest
 
-echo "== bench: table2 =="
-dune exec bench/main.exe table2
+echo "== experiments: table2 =="
+dune exec bin/elag_experiments.exe -- table2
 
 echo "== report: PGP Encode / baseline =="
 dune exec bin/elag_sim_run.exe -- "PGP Encode" baseline --report json

@@ -171,9 +171,8 @@ let test_supervised_hung_job_among_20 () =
       Array.iteri
         (fun i outcome ->
           match (i, outcome) with
-          | 7, Error (Pool.Job_timeout { timeout_ms; attempts }) ->
-            check "timeout budget reported" 50 timeout_ms;
-            check "timeouts are not retried" 1 attempts
+          | 7, Error (Pool.Job_timeout { timeout_ms }) ->
+            check "timeout budget reported" 50 timeout_ms
           | 7, Ok _ -> Alcotest.fail "hung job reported success"
           | 7, Error f -> Alcotest.fail (Pool.failure_to_string f)
           | i, Ok v ->
@@ -187,40 +186,31 @@ let test_supervised_hung_job_among_20 () =
         (List.length (Pool.outcome_failures outcomes)))
     [ 1; 4 ]
 
-let test_supervised_retries_crashes () =
-  (* a job that crashes twice then succeeds: retries=2 recovers it,
-     retries=1 reports Job_failed with the attempt count *)
-  let attempts = Atomic.make 0 in
-  let flaky _deadline i =
-    if i = 0 && Atomic.fetch_and_add attempts 1 < 2 then failwith "flaky";
-    i + 10
-  in
-  let outcomes =
-    Pool.run_supervised ~retries:2 ~backoff_ms:1 ~jobs:1 flaky
-      (Array.init 3 (fun i -> i))
-  in
-  check_bool "recovered after retries" true
-    (Array.for_all (function Ok _ -> true | Error _ -> false) outcomes);
-  Atomic.set attempts 0;
-  let outcomes =
-    Pool.run_supervised ~retries:1 ~backoff_ms:1 ~jobs:1 flaky
-      (Array.init 3 (fun i -> i))
-  in
-  (match outcomes.(0) with
-  | Error (Pool.Job_failed { attempts; message }) ->
-    check "attempt count" 2 attempts;
-    check_bool "message kept" true (String.length message > 0)
-  | _ -> Alcotest.fail "expected Job_failed");
-  check_bool "other jobs unaffected" true
-    (outcomes.(1) = Ok 11 && outcomes.(2) = Ok 12)
+let test_supervised_crash_runs_once () =
+  (* a raising job becomes Job_failed with its message after exactly
+     one run; the other jobs are unaffected, at every jobs setting *)
+  List.iter
+    (fun jobs ->
+      let runs = Atomic.make 0 in
+      let job _deadline i =
+        if i = 1 then begin
+          Atomic.incr runs;
+          failwith "boom"
+        end;
+        i + 10
+      in
+      let outcomes = Pool.run_supervised ~jobs job (Array.init 3 (fun i -> i)) in
+      let label = Printf.sprintf "jobs=%d: " jobs in
+      (match outcomes.(1) with
+      | Error (Pool.Job_failed { message }) ->
+        check_str (label ^ "message kept") (Printexc.to_string (Failure "boom")) message
+      | _ -> Alcotest.fail (label ^ "expected Job_failed"));
+      check (label ^ "crashing job ran once") 1 (Atomic.get runs);
+      check_bool (label ^ "other jobs unaffected") true
+        (outcomes.(0) = Ok 10 && outcomes.(2) = Ok 12))
+    [ 1; 4 ]
 
 let test_supervised_rejects_bad_args () =
-  Alcotest.check_raises "negative retries"
-    (Invalid_argument "Pool.run_supervised: negative retries") (fun () ->
-      ignore
-        (Pool.run_supervised ~retries:(-1) ~jobs:1
-           (fun _ i -> i)
-           [| 1 |]));
   Alcotest.check_raises "non-positive timeout"
     (Invalid_argument "Pool.run_supervised: non-positive timeout") (fun () ->
       ignore
@@ -246,8 +236,8 @@ let suite =
       test_supervised_ok_matches_run
   ; Alcotest.test_case "pool: hung job among 20 times out" `Quick
       test_supervised_hung_job_among_20
-  ; Alcotest.test_case "pool: supervised retries crashes" `Quick
-      test_supervised_retries_crashes
+  ; Alcotest.test_case "pool: supervised crash runs once" `Quick
+      test_supervised_crash_runs_once
   ; Alcotest.test_case "pool: supervised arg validation" `Quick
       test_supervised_rejects_bad_args
   ; Alcotest.test_case "cache: single flight" `Quick test_cache_single_flight

@@ -226,6 +226,40 @@ let test_load_sites_account () =
   check "pcs unique" (List.length pcs)
     (List.length (List.sort_uniq compare pcs))
 
+(* The flat record's load counters are sums over the sites.  Check
+   those sums against values kept apart from them: the global
+   dcache-access counter, and a spec count taken by a second observer
+   on the same retire stream. *)
+let test_derived_load_counters () =
+  List.iter
+    (fun name ->
+      let program = program_of name in
+      List.iter
+        (fun mech ->
+          let label = name ^ "/" ^ Config.Mechanism.to_string mech in
+          let t = Pipeline.create (Config.with_mechanism mech Config.default) in
+          let by_spec = Array.make 3 0 in
+          let spec_index = function Insn.Ld_n -> 0 | Insn.Ld_p -> 1 | Insn.Ld_e -> 2 in
+          let observer pc insn eff taken next_pc =
+            (match insn with
+            | Insn.Load { spec; _ } ->
+              let i = spec_index spec in
+              by_spec.(i) <- by_spec.(i) + 1
+            | _ -> ());
+            Pipeline.process t pc insn eff taken next_pc
+          in
+          ignore (Elag_sim.Emulator.run_program ~observer program);
+          let s = Pipeline.stats t in
+          check (label ^ ": dcache accesses = stores + attempts + unforwarded loads")
+            s.Pipeline.dcache_accesses
+            (s.Pipeline.stores + s.Pipeline.table_attempts + s.Pipeline.calc_attempts
+           + s.Pipeline.loads - s.Pipeline.table_successes - s.Pipeline.calc_successes);
+          check (label ^ ": loads_n") by_spec.(0) s.Pipeline.loads_n;
+          check (label ^ ": loads_p") by_spec.(1) s.Pipeline.loads_p;
+          check (label ^ ": loads_e") by_spec.(2) s.Pipeline.loads_e)
+        Config.Mechanism.all)
+    invariant_panel
+
 (* --- BRIC stats ------------------------------------------------------------ *)
 
 let test_bric_stats () =
@@ -316,6 +350,8 @@ let suite =
   ; Alcotest.test_case "stall: names" `Quick test_stall_names_roundtrip
   ; Alcotest.test_case "pipeline: stall invariant" `Quick test_stall_invariant
   ; Alcotest.test_case "pipeline: load sites account" `Quick test_load_sites_account
+  ; Alcotest.test_case "pipeline: derived load counters" `Quick
+      test_derived_load_counters
   ; Alcotest.test_case "bric: stats" `Quick test_bric_stats
   ; Alcotest.test_case "bric: surfaced" `Quick test_bric_stats_surfaced
   ; Alcotest.test_case "report: golden file" `Quick test_golden_report ]
