@@ -16,14 +16,12 @@
    [fuzz] runs a differential fuzzing campaign (random lint-clean
    EPA-32 programs and random MiniC sources through every mechanism
    preset under the oracle, with seeded fault plans layered on) on the
-   supervised pool and prints a deterministic JSON summary — byte-
-   identical at every -j.  Fuzz flags:
+   worker pool and prints a deterministic JSON summary — byte-
+   identical at every -j.  Every run is bounded by its program's
+   instruction budget.  Fuzz flags:
 
      --seed S        master campaign seed (default 0)
      --iters N       iteration count (default 100)
-     --budget-ms M   stop scheduling new work after M ms of wall clock
-     --timeout-ms M  per-iteration budget; hung iterations report
-                     Job_timeout instead of wedging a worker
      --corpus DIR    persist shrunk minimal repros under DIR
      --mutation NAME plant a reference mutation (guarded test hook
                      proving detection; see corpus docs) *)
@@ -44,8 +42,7 @@ let usage () =
   prerr_endline
     "usage: elag_experiments [-j N] [table2|fig5a|fig5b|fig5c|table3|table4|all\
      |lint|faults|verify-smoke|verify|fuzz]\n\
-     fuzz flags: [--seed S] [--iters N] [--budget-ms M] [--timeout-ms M]\n\
-    \            [--corpus DIR] [--mutation NAME]";
+     fuzz flags: [--seed S] [--iters N] [--corpus DIR] [--mutation NAME]";
   exit 1
 
 (* Each suite prints one line per item and returns whether it was
@@ -79,17 +76,15 @@ let finish ok = if not ok then exit 1
 
 (* The campaign summary is the artifact: deterministic JSON on stdout,
    exit 1 on any finding or job failure so CI can gate on it. *)
-let fuzz_campaign ~jobs ~seed ~iters ~budget_ms ~timeout_ms ~corpus_dir ~mutation =
+let fuzz_campaign ~jobs ~seed ~iters ~corpus_dir ~mutation =
   (match mutation with
   | Some m when not (List.mem m Gen.mutation_names) ->
     Printf.eprintf "unknown mutation %s\nknown mutations: %s\n" m
       (String.concat " " Gen.mutation_names);
     usage ()
   | _ -> ());
-  let config =
-    { Campaign.default with seed; iters; mutation; timeout_ms; corpus_dir }
-  in
-  let summary = Campaign.run ~jobs ?budget_ms config in
+  let config = { Campaign.default with seed; iters; mutation; corpus_dir } in
+  let summary = Campaign.run ~jobs config in
   print_endline (Json.to_string ~pretty:true (Campaign.summary_json summary));
   finish (Campaign.ok summary)
 
@@ -99,16 +94,10 @@ let () =
   let artifact = ref "all" in
   let seed = ref 0
   and iters = ref 100
-  and budget_ms = ref None
-  and timeout_ms = ref None
   and corpus_dir = ref None
   and mutation = ref None in
   let int_arg n = match int_of_string_opt n with
     | Some n when n >= 0 -> n
-    | _ -> usage ()
-  in
-  let pos_arg n = match int_of_string_opt n with
-    | Some n when n > 0 -> n
     | _ -> usage ()
   in
   let rec parse = function
@@ -118,12 +107,9 @@ let () =
       parse rest
     | "--seed" :: n :: rest -> seed := int_arg n; parse rest
     | "--iters" :: n :: rest -> iters := int_arg n; parse rest
-    | "--budget-ms" :: n :: rest -> budget_ms := Some (pos_arg n); parse rest
-    | "--timeout-ms" :: n :: rest -> timeout_ms := Some (pos_arg n); parse rest
     | "--corpus" :: dir :: rest -> corpus_dir := Some dir; parse rest
     | "--mutation" :: name :: rest -> mutation := Some name; parse rest
-    | [ ("-j" | "--seed" | "--iters" | "--budget-ms" | "--timeout-ms" | "--corpus"
-        | "--mutation") ] -> usage ()
+    | [ ("-j" | "--seed" | "--iters" | "--corpus" | "--mutation") ] -> usage ()
     | arg :: _ when String.length arg > 2 && String.sub arg 0 2 = "--" ->
       usage ()
     | arg :: rest ->
@@ -132,8 +118,8 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   if !artifact = "fuzz" then
-    fuzz_campaign ~jobs:!jobs ~seed:!seed ~iters:!iters ~budget_ms:!budget_ms
-      ~timeout_ms:!timeout_ms ~corpus_dir:!corpus_dir ~mutation:!mutation
+    fuzz_campaign ~jobs:!jobs ~seed:!seed ~iters:!iters ~corpus_dir:!corpus_dir
+      ~mutation:!mutation
   else begin
   let engine = Engine.create ~jobs:!jobs () in
   match !artifact with

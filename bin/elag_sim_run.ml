@@ -25,6 +25,10 @@
                          traces then cover that window (recommended when
                          tracing: one event per instruction adds up)
 
+   Every run is bounded by its instruction budget: --max-insns N, or
+   the emulator's default.  Emulate, --oracle and --fault runs that
+   exceed it fail with a runaway error and exit 2.
+
    Verification (single timed runs):
 
      --oracle            run the differential oracle: the timing pipeline
@@ -37,9 +41,6 @@
                          text; optional :N parameter, e.g.
                          table-scramble:17); exit 1 on violation
      --seed N            seed for --fault plans (default 0)
-     --timeout-ms N      wall-clock budget for the run, polled once per
-                         retired instruction; exceeding it exits 2 with
-                         a one-line job-timeout diagnostic
 
    Timed runs lint the compiled program first (wild control targets,
    illegal registers, ld_e binding rules, data bounds) and exit 2 with
@@ -61,12 +62,11 @@ module Lint = Elag_verify.Lint
 module Oracle = Elag_verify.Oracle
 module Diag = Elag_verify.Diag
 module Fault = Elag_verify.Fault
-module Deadline = Elag_verify.Deadline
 
 let usage () =
   prerr_endline
     "usage: elag_sim_run [--all] [workload [mechanism]] [-j N] [--report json|csv] [--trace FILE] [--max-insns N] [--oracle]\n\
-    \       [--fault TARGET] [--seed N] [--timeout-ms N]";
+    \       [--fault TARGET] [--seed N]";
   Printf.eprintf "fault targets: %s\n%!" (String.concat " " Fault.target_names);
   exit 1
 
@@ -90,13 +90,12 @@ let find_workload name =
          (List.map (fun (w : Workload.t) -> w.Workload.name) Suite.all));
     usage ()
 
-let emulate_one ~timeout_ms (w : Workload.t) =
+let emulate_one ~max_insns (w : Workload.t) =
   let t0 = Unix.gettimeofday () in
   let program = Compile.compile w.Workload.source in
   let t1 = Unix.gettimeofday () in
-  let deadline = Deadline.opt timeout_ms in
   let emu = Emulator.create program in
-  Emulator.run ~observer:(Deadline.observer deadline) emu;
+  Emulator.run ?max_insns emu;
   let t2 = Unix.gettimeofday () in
   Printf.sprintf "%-16s  insns=%9d  compile=%.2fs run=%.2fs  output=%s"
     w.Workload.name (Emulator.retired emu) (t1 -. t0) (t2 -. t1)
@@ -104,9 +103,9 @@ let emulate_one ~timeout_ms (w : Workload.t) =
 
 (* Emulate every workload on the pool; lines print in suite order once
    all work is done, so output is identical at every -j. *)
-let emulate_all ~jobs ~timeout_ms =
+let emulate_all ~jobs ~max_insns =
   List.iter print_endline
-    (Pool.map_list ~jobs (emulate_one ~timeout_ms) Suite.all)
+    (Pool.map_list ~jobs (emulate_one ~max_insns) Suite.all)
 
 (* Time every workload under one mechanism through the engine.  The
    baselines the speedup column needs are scheduled as pool jobs too,
@@ -178,13 +177,11 @@ let print_text_summary (w : Workload.t) mech (stats : Pipeline.stats) t output =
   Printf.printf "  output=%s\n"
     (String.concat "," (String.split_on_char '\n' (String.trim output)))
 
-let oracle_one (w : Workload.t) mech ~max_insns ~timeout_ms =
+let oracle_one (w : Workload.t) mech ~max_insns =
   let program = Compile.compile w.Workload.source in
   Lint.enforce program;
   let cfg = Config.with_mechanism mech Config.default in
-  let r =
-    Oracle.run ?max_insns ~deadline:(Deadline.opt timeout_ms) cfg program
-  in
+  let r = Oracle.run ?max_insns cfg program in
   Fmt.pr "%s under %s: @[<v>%a@]@." w.Workload.name
     (Config.mechanism_name mech) Oracle.pp r;
   if not (Oracle.ok r) then exit 1
@@ -192,12 +189,11 @@ let oracle_one (w : Workload.t) mech ~max_insns ~timeout_ms =
 (* Seeded fault plan against one (workload, mechanism): baseline run,
    corrupt the predictor state on a retire-count schedule derived from
    the baseline's length, and hold the architectural invariants. *)
-let fault_one (w : Workload.t) mech target ~seed ~max_insns ~timeout_ms =
+let fault_one (w : Workload.t) mech target ~seed ~max_insns =
   let program = Compile.compile w.Workload.source in
   Lint.enforce program;
   let cfg = Config.with_mechanism mech Config.default in
-  let deadline = Deadline.opt timeout_ms in
-  let base = Fault.baseline ?max_insns ~deadline cfg program in
+  let base = Fault.baseline ?max_insns cfg program in
   let retired = max 1 base.Fault.base_retired in
   let plan =
     { Fault.name = Fmt.str "cli-%a" Fault.pp_target target
@@ -206,26 +202,20 @@ let fault_one (w : Workload.t) mech target ~seed ~max_insns ~timeout_ms =
     ; period = Some (max 1 (retired / 5))
     ; target }
   in
-  let outcome = Fault.run_plan ?max_insns ~deadline ~baseline:base cfg program plan in
+  let outcome = Fault.run_plan ?max_insns ~baseline:base cfg program plan in
   Fmt.pr "%s under %s: %a@." w.Workload.name (Config.mechanism_name mech)
     Fault.pp_outcome outcome;
   if not (Fault.outcome_ok outcome) then exit 1
 
-let time_one (w : Workload.t) mech ~report ~trace_file ~max_insns ~timeout_ms =
+let time_one (w : Workload.t) mech ~report ~trace_file ~max_insns =
   let program = Compile.compile w.Workload.source in
   Lint.enforce program;
   let cfg = Config.with_mechanism mech Config.default in
   let t = Pipeline.create cfg in
   let tr = Option.map (fun _ -> install_trace t) trace_file in
   let emu = Emulator.create program in
-  let deadline = Deadline.opt timeout_ms in
-  let pipe_obs = Pipeline.observer t in
-  let obs pc insn eff taken next_pc =
-    Deadline.check deadline;
-    pipe_obs pc insn eff taken next_pc
-  in
   (* a user-bounded run is a measurement window, not a runaway loop *)
-  (try Emulator.run ~observer:obs ?max_insns emu
+  (try Emulator.run ~observer:(Pipeline.observer t) ?max_insns emu
    with Emulator.Runaway _ when max_insns <> None -> ());
   let output = Emulator.output emu in
   let stats = Pipeline.stats t in
@@ -253,7 +243,6 @@ let () =
   and oracle = ref false
   and fault = ref None
   and seed = ref 0
-  and timeout_ms = ref None
   and positional = ref [] in
   let rec parse = function
     | [] -> ()
@@ -291,33 +280,27 @@ let () =
     | "--seed" :: n :: rest ->
       (seed := match int_of_string_opt n with Some n when n >= 0 -> n | _ -> usage ());
       parse rest
-    | "--timeout-ms" :: n :: rest ->
-      (timeout_ms :=
-         match int_of_string_opt n with Some n when n > 0 -> Some n | _ -> usage ());
-      parse rest
-    | ("--report" | "--trace" | "--max-insns" | "-j" | "--fault" | "--seed"
-      | "--timeout-ms") :: [] -> usage ()
+    | ("--report" | "--trace" | "--max-insns" | "-j" | "--fault" | "--seed") :: [] -> usage ()
     | arg :: _ when String.length arg > 2 && String.sub arg 0 2 = "--" -> usage ()
     | arg :: rest ->
       positional := arg :: !positional;
       parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let timeout_ms = !timeout_ms in
+  let max_insns = !max_insns in
   match (!all, !oracle, !fault, List.rev !positional, !report, !trace_file) with
-  | true, false, None, [], None, None -> emulate_all ~jobs:!jobs ~timeout_ms
+  | true, false, None, [], None, None -> emulate_all ~jobs:!jobs ~max_insns
   | true, false, None, [ mech ], None, None ->
     time_all ~jobs:!jobs (mechanism_of_string mech)
-  | false, false, None, [], None, None -> emulate_all ~jobs:!jobs ~timeout_ms
+  | false, false, None, [], None, None -> emulate_all ~jobs:!jobs ~max_insns
   | false, false, None, [ name ], None, None ->
-    emulate_one ~timeout_ms (find_workload name) |> print_endline
+    emulate_one ~max_insns (find_workload name) |> print_endline
   | false, true, None, [ name; mech ], None, None ->
-    oracle_one (find_workload name) (mechanism_of_string mech)
-      ~max_insns:!max_insns ~timeout_ms
+    oracle_one (find_workload name) (mechanism_of_string mech) ~max_insns
   | false, false, Some target, [ name; mech ], None, None ->
-    fault_one (find_workload name) (mechanism_of_string mech) target
-      ~seed:!seed ~max_insns:!max_insns ~timeout_ms
+    fault_one (find_workload name) (mechanism_of_string mech) target ~seed:!seed
+      ~max_insns
   | false, false, None, [ name; mech ], report, trace_file ->
     time_one (find_workload name) (mechanism_of_string mech) ~report ~trace_file
-      ~max_insns:!max_insns ~timeout_ms
+      ~max_insns
   | _ -> usage ()

@@ -5,9 +5,10 @@
    through every mechanism preset under the differential oracle, with
    a seeded fault plan layered on some iterations.  Iterations are
    pure functions of the per-iteration seed, so they fan out on the
-   supervised pool and the merged summary is byte-identical at every
-   [-j] setting; per-iteration seeds are drawn serially from the
-   master stream before the fan-out.
+   pool and the merged summary is byte-identical at every [-j]
+   setting; per-iteration seeds are drawn serially from the master
+   stream before the fan-out.  Every run is bounded by the program's
+   instruction budget, never by a wall clock.
 
    On a finding, the offending EPA program is shrunk against the
    oracle's failure signature and the minimal repro is persisted to
@@ -21,7 +22,6 @@ module Config = Elag_sim.Config
 module Oracle = Elag_verify.Oracle
 module Lint = Elag_verify.Lint
 module Fault = Elag_verify.Fault
-module Deadline = Elag_verify.Deadline
 module Xorshift = Elag_verify.Xorshift
 module Pool = Elag_engine.Pool
 module Json = Elag_telemetry.Json
@@ -35,7 +35,6 @@ type config =
   ; minic_every : int  (* every k-th iteration compiles MiniC; 0 = never *)
   ; fault_every : int  (* every k-th iteration layers a fault plan; 0 = never *)
   ; mutation : string option
-  ; timeout_ms : int option
   ; corpus_dir : string option }
 
 let default =
@@ -46,7 +45,6 @@ let default =
   ; minic_every = 5
   ; fault_every = 3
   ; mutation = None
-  ; timeout_ms = None
   ; corpus_dir = None }
 
 type kind = Divergence | Fault_violation | Lint_reject | Crash
@@ -86,7 +84,7 @@ type summary =
   ; oracle_runs : int
   ; fault_runs : int
   ; findings : finding list
-  ; failures : (int * Pool.failure) list
+  ; failures : (int * string) list
   ; saved : string list  (* corpus metadata paths written this run *) }
 
 (* Fault targets paired with a mechanism that actually owns the state
@@ -123,7 +121,7 @@ let finding ~iter ~seed ~source ~mechanism ~kind ~detail ~report ~listing
 (* Shrink an EPA generator output against the failure signature: a
    candidate reproduces iff it assembles, lints and yields the same
    oracle signature under the same (mechanism, mutation). *)
-let shrink_epa ~cfg ~deadline ~mutation ~signature (g : Gen.t) =
+let shrink_epa ~cfg ~mutation ~signature (g : Gen.t) =
   let check items =
     match Gen.reassemble g items with
     | exception _ -> false
@@ -132,16 +130,15 @@ let shrink_epa ~cfg ~deadline ~mutation ~signature (g : Gen.t) =
       | report when not (Lint.ok report) -> false
       | _ -> (
         let reference = Option.map (fun m -> Gen.apply_mutation m program) mutation in
-        match Oracle.run ~max_insns:g.Gen.budget ?reference ~deadline cfg program with
+        match Oracle.run ~max_insns:g.Gen.budget ?reference cfg program with
         | report -> Oracle.signature report = Some signature
-        | exception (Deadline.Job_timeout _ as e) -> raise e
         | exception _ -> false))
   in
   let items = Shrink.minimize ~check g.Gen.items in
   let program = Gen.reassemble g items in
   (Fmt.str "%a" Elag_isa.Program.pp program, Shrink.insn_count items)
 
-let run_iteration config deadline (iter, seed) =
+let run_iteration config (iter, seed) =
   let source =
     if config.minic_every > 0 && (iter + 1) mod config.minic_every = 0 then
       "minic"
@@ -195,7 +192,6 @@ let run_iteration config deadline (iter, seed) =
       List.iter
         (fun mechanism ->
           if not !stop then begin
-            Deadline.check deadline;
             let cfg = Config.with_mechanism mechanism Config.default in
             let mech_name = Config.Mechanism.to_string mechanism in
             incr oracle_runs;
@@ -205,9 +201,8 @@ let run_iteration config deadline (iter, seed) =
                   (Option.map
                      (fun m -> Gen.apply_mutation m program)
                      config.mutation)
-                ~deadline cfg program
+                cfg program
             with
-            | exception (Deadline.Job_timeout _ as e) -> raise e
             | exception e ->
               stop := true;
               add
@@ -224,11 +219,9 @@ let run_iteration config deadline (iter, seed) =
                   match g with
                   | Some g -> (
                     match
-                      shrink_epa ~cfg ~deadline ~mutation:config.mutation
-                        ~signature g
+                      shrink_epa ~cfg ~mutation:config.mutation ~signature g
                     with
                     | l, n -> (l, n, true)
-                    | exception (Deadline.Job_timeout _ as e) -> raise e
                     | exception _ ->
                       ( Fmt.str "%a" Elag_isa.Program.pp program
                       , Elag_isa.Program.length program
@@ -256,8 +249,7 @@ let run_iteration config deadline (iter, seed) =
         let cfg =
           Config.with_mechanism (mechanism_of_name mech_name) Config.default
         in
-        match Fault.baseline ~max_insns:budget ~deadline cfg program with
-        | exception (Deadline.Job_timeout _ as e) -> raise e
+        match Fault.baseline ~max_insns:budget cfg program with
         | exception e ->
           add
             (mk ~mechanism:mech_name ~kind:Crash
@@ -274,8 +266,7 @@ let run_iteration config deadline (iter, seed) =
             ; target }
           in
           incr fault_runs;
-          match Fault.run_plan ~max_insns:budget ~deadline ~baseline:base cfg program plan with
-          | exception (Deadline.Job_timeout _ as e) -> raise e
+          match Fault.run_plan ~max_insns:budget ~baseline:base cfg program plan with
           | exception e ->
             add
               (mk ~mechanism:mech_name ~kind:Crash
@@ -300,43 +291,26 @@ let run_iteration config deadline (iter, seed) =
       end;
       finish ()))
 
-let run ?(jobs = 1) ?budget_ms config =
+let run ?(jobs = 1) config =
   if config.iters < 0 then invalid_arg "Campaign.run: negative iters";
   if config.mechanisms = [] then invalid_arg "Campaign.run: no mechanisms";
   (* per-iteration seeds drawn serially up front: the fan-out order
      can never perturb the seed sequence *)
   let master = Xorshift.create config.seed in
   let seeds = Array.init config.iters (fun i -> (i, Xorshift.next master)) in
-  let started = Unix.gettimeofday () in
-  let batch_size = max 8 (4 * jobs) in
-  let results = ref [] in
-  let failures = ref [] in
-  let completed = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !completed < config.iters do
-    let remaining = config.iters - !completed in
-    let n = min batch_size remaining in
-    let batch = Array.sub seeds !completed n in
-    let outcomes =
-      Pool.run_supervised ?timeout_ms:config.timeout_ms ~jobs
-        (fun deadline item -> run_iteration config deadline item)
-        batch
-    in
-    Array.iteri
-      (fun i outcome ->
-        let iter, _seed = batch.(i) in
-        match outcome with
-        | Ok r -> results := r :: !results
-        | Error f -> failures := (iter, f) :: !failures)
-      outcomes;
-    completed := !completed + n;
-    (match budget_ms with
-    | Some ms when (Unix.gettimeofday () -. started) *. 1000. >= float_of_int ms
-      ->
-      continue_ := false
-    | _ -> ())
-  done;
-  let results = List.rev !results in
+  (* an iteration that escapes with an exception becomes a failure
+     entry; the other iterations' results are kept *)
+  let outcomes =
+    Pool.run ~jobs
+      (fun ((iter, _) as item) ->
+        try Ok (run_iteration config item)
+        with e -> Error (iter, Printexc.to_string e))
+      seeds
+    |> Array.to_list
+  in
+  let results, failures =
+    List.partition_map (function Ok r -> Either.Left r | Error f -> Either.Right f) outcomes
+  in
   let findings =
     List.concat_map (fun r -> r.r_findings) results
     |> List.sort (fun a b -> compare a.f_iter b.f_iter)
@@ -371,11 +345,11 @@ let run ?(jobs = 1) ?budget_ms config =
   in
   { cfg = config
   ; jobs
-  ; iterations = !completed
+  ; iterations = config.iters
   ; oracle_runs = List.fold_left (fun n r -> n + r.r_oracle_runs) 0 results
   ; fault_runs = List.fold_left (fun n r -> n + r.r_fault_runs) 0 results
   ; findings
-  ; failures = List.rev !failures
+  ; failures
   ; saved }
 
 let metrics summary =
@@ -392,16 +366,7 @@ let metrics summary =
   set "fault_violations" (count Fault_violation);
   set "lint_rejects" (count Lint_reject);
   set "crashes" (count Crash);
-  set "job_failures"
-    (List.length
-       (List.filter
-          (fun (_, f) -> match f with Pool.Job_failed _ -> true | _ -> false)
-          summary.failures));
-  set "job_timeouts"
-    (List.length
-       (List.filter
-          (fun (_, f) -> match f with Pool.Job_timeout _ -> true | _ -> false)
-          summary.failures));
+  set "job_failures" (List.length summary.failures);
   m
 
 let finding_to_json f =
@@ -434,11 +399,7 @@ let summary_json summary =
           ; ( "mutation"
             , match c.mutation with
               | None -> Json.Null
-              | Some m -> Json.String m )
-          ; ( "timeout_ms"
-            , match c.timeout_ms with
-              | None -> Json.Null
-              | Some t -> Json.Int t ) ] )
+              | Some m -> Json.String m ) ] )
     ; ("metrics", Metrics.to_json (metrics summary))
     ; ("findings", Json.List (List.map finding_to_json summary.findings))
     ; ( "failures"
@@ -447,7 +408,7 @@ let summary_json summary =
              (fun (iter, f) ->
                Json.Obj
                  [ ("iter", Json.Int iter)
-                 ; ("failure", Json.String (Pool.failure_to_string f)) ])
+                 ; ("failure", Json.String f) ])
              summary.failures) )
     ; ("corpus_saved", Json.List (List.map (fun p -> Json.String p) summary.saved))
     ]

@@ -5,10 +5,11 @@
     linted and run through every configured mechanism preset under the
     differential oracle, with a seeded fault plan layered on every
     [fault_every]-th iteration.  Iterations are pure functions of
-    their seed and fan out on the supervised pool
-    ({!Elag_engine.Pool.run_supervised}), so the summary is
-    byte-identical at every jobs setting; hung iterations surface as
-    [Job_timeout] failures without disturbing the rest.
+    their seed and fan out on the pool ({!Elag_engine.Pool.run}), so
+    the summary is byte-identical at every jobs setting.  Each run is
+    bounded by its program's instruction budget; an iteration that
+    escapes with an exception becomes a [failures] entry without
+    disturbing the rest.
 
     EPA findings are shrunk against the oracle's failure signature and
     persisted to the corpus (deduplicated by fingerprint, written
@@ -27,7 +28,6 @@ type config =
   ; mutation : string option
     (** planted reference mutation ({!Gen.mutation_names}) — the
         guarded test hook proving the campaign catches real bugs *)
-  ; timeout_ms : int option  (** per-iteration wall-clock budget *)
   ; corpus_dir : string option  (** where minimal repros are persisted *) }
 
 val default : config
@@ -53,22 +53,21 @@ type finding =
 type summary =
   { cfg : config
   ; jobs : int
-  ; iterations : int  (** iterations actually run (budget may stop early) *)
+  ; iterations : int
   ; oracle_runs : int
   ; fault_runs : int
   ; findings : finding list
-  ; failures : (int * Elag_engine.Pool.failure) list
+  ; failures : (int * string) list
+    (** [(iteration, exception)] for iterations that escaped with an
+        exception *)
   ; saved : string list  (** corpus metadata paths written this run *) }
 
-val run : ?jobs:int -> ?budget_ms:int -> config -> summary
-(** Run the campaign.  [jobs] (default 1) sizes the worker pool;
-    [budget_ms] stops scheduling new batches once the wall-clock
-    budget is spent (completed iterations are never discarded).
-    Without [budget_ms] the summary is byte-identical at every [jobs]
-    setting. *)
+val run : ?jobs:int -> config -> summary
+(** Run the campaign.  [jobs] (default 1) sizes the worker pool; the
+    summary is byte-identical at every [jobs] setting. *)
 
 val ok : summary -> bool
-(** No findings and no job failures. *)
+(** No findings and no iteration failures. *)
 
 val summary_json : summary -> Elag_telemetry.Json.t
 (** Deterministic summary (config echo, metric counters, findings,

@@ -11,26 +11,14 @@ module Program = Elag_isa.Program
 module Ideal = Elag_predict.Ideal
 module Emulator = Elag_sim.Emulator
 
-type t =
-  { rates : Ideal.t
-  ; exec_counts : (int, int) Hashtbl.t  (* per-pc dynamic execution counts *)
-  ; mutable total_loads : int
-  ; mutable total_instructions : int }
+type t = { rates : Ideal.t; mutable total_loads : int }
 
 let collect ?max_insns program =
-  let t =
-    { rates = Ideal.create ()
-    ; exec_counts = Hashtbl.create 256
-    ; total_loads = 0
-    ; total_instructions = 0 }
-  in
+  let t = { rates = Ideal.create (); total_loads = 0 } in
   let observer pc insn eff _taken _next =
-    t.total_instructions <- t.total_instructions + 1;
     if Insn.is_load insn then begin
       t.total_loads <- t.total_loads + 1;
-      Ideal.observe t.rates ~pc ~ca:eff;
-      Hashtbl.replace t.exec_counts pc
-        (1 + Option.value (Hashtbl.find_opt t.exec_counts pc) ~default:0)
+      Ideal.observe t.rates ~pc ~ca:eff
     end
   in
   ignore (Emulator.run_program ~observer ?max_insns program);
@@ -38,7 +26,7 @@ let collect ?max_insns program =
 
 let rate t pc = Ideal.rate t.rates pc
 
-let executions t pc = Option.value (Hashtbl.find_opt t.exec_counts pc) ~default:0
+let executions t pc = Ideal.executions t.rates pc
 
 let default_threshold = 0.60
 

@@ -6,11 +6,7 @@
     rate exceeds the threshold (60% in the paper) to [ld_p] — and
     changes nothing else. *)
 
-type t =
-  { rates : Elag_predict.Ideal.t
-  ; exec_counts : (int, int) Hashtbl.t
-  ; mutable total_loads : int
-  ; mutable total_instructions : int }
+type t = { rates : Elag_predict.Ideal.t; mutable total_loads : int }
 
 val collect : ?max_insns:int -> Elag_isa.Program.t -> t
 
@@ -18,6 +14,7 @@ val rate : t -> int -> float option
 (** Stride-prediction rate of the load at this pc. *)
 
 val executions : t -> int -> int
+(** Dynamic executions of the load at this pc; 0 if never executed. *)
 
 val default_threshold : float
 (** 0.60, the paper's value. *)

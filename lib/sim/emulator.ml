@@ -30,8 +30,8 @@ type t =
    for loads and stores only; [taken] for control transfers. *)
 type observer = int -> Insn.t -> int -> bool -> int -> unit
 
-let create ?memory_size (program : Program.t) =
-  let memory = Memory.create ?size:memory_size () in
+let create (program : Program.t) =
+  let memory = Memory.create () in
   Memory.load_image memory (Program.data_image program);
   (* publish the heap base in the reserved slot below the data
      segment, where the workloads' allocator reads it *)
@@ -150,7 +150,7 @@ let run ?(observer = no_observer) ?(max_insns = default_max_insns) t =
   done
 
 (* Convenience: assemble-run and return the printed output. *)
-let run_program ?observer ?max_insns ?memory_size program =
-  let t = create ?memory_size program in
+let run_program ?observer ?max_insns program =
+  let t = create program in
   run ?observer ?max_insns t;
   t

@@ -24,7 +24,9 @@ type observer = int -> Elag_isa.Insn.t -> int -> bool -> int -> unit
     each instruction retires.  [effective_address] is meaningful for
     memory operations, [taken] for control transfers. *)
 
-val create : ?memory_size:int -> Elag_isa.Program.t -> t
+val create : Elag_isa.Program.t -> t
+(** A fresh emulator over a {!Memory.default_size} memory holding the
+    program's data image. *)
 
 val step : ?observer:observer -> t -> bool
 (** Retire exactly one instruction; [false] when already halted.  The
@@ -37,8 +39,7 @@ val run : ?observer:observer -> ?max_insns:int -> t -> unit
     (default 400M). *)
 
 val run_program :
-  ?observer:observer -> ?max_insns:int -> ?memory_size:int ->
-  Elag_isa.Program.t -> t
+  ?observer:observer -> ?max_insns:int -> Elag_isa.Program.t -> t
 (** Create and run in one step; returns the finished emulator. *)
 
 val output : t -> string

@@ -4,9 +4,7 @@
 
 type counter = { mutable c_value : int }
 
-type metric =
-  | Counter of counter * string option  (* help *)
-  | Hist of Histogram.t * string option
+type metric = Counter of counter | Hist of Histogram.t
 
 type t =
   { mutable order : string list  (* reverse registration order *)
@@ -14,42 +12,24 @@ type t =
 
 let create () = { order = []; metrics = Hashtbl.create 32 }
 
-let register t name metric =
-  Hashtbl.replace t.metrics name metric;
-  t.order <- name :: t.order
-
-let counter t ?help name =
+let counter t name =
   match Hashtbl.find_opt t.metrics name with
-  | Some (Counter (c, _)) -> c
+  | Some (Counter c) -> c
   | Some (Hist _) ->
     invalid_arg (Printf.sprintf "Metrics.counter: %s is a histogram" name)
   | None ->
     let c = { c_value = 0 } in
-    register t name (Counter (c, help));
+    Hashtbl.replace t.metrics name (Counter c);
+    t.order <- name :: t.order;
     c
 
 let incr ?(by = 1) c = c.c_value <- c.c_value + by
 let set c v = c.c_value <- v
 let value c = c.c_value
 
-let histogram t ?help ~bounds name =
-  match Hashtbl.find_opt t.metrics name with
-  | Some (Hist (h, _)) -> h
-  | Some (Counter _) ->
-    invalid_arg (Printf.sprintf "Metrics.histogram: %s is a counter" name)
-  | None ->
-    let h = Histogram.create ~bounds in
-    register t name (Hist (h, help));
-    h
-
-let attach_histogram t ?help name h =
+let attach_histogram t name h =
   if not (Hashtbl.mem t.metrics name) then t.order <- name :: t.order;
-  Hashtbl.replace t.metrics name (Hist (h, help))
-
-let find_counter t name =
-  match Hashtbl.find_opt t.metrics name with
-  | Some (Counter (c, _)) -> Some c
-  | _ -> None
+  Hashtbl.replace t.metrics name (Hist h)
 
 let in_order t =
   List.rev_map (fun name -> (name, Hashtbl.find t.metrics name)) t.order
@@ -59,8 +39,8 @@ let to_json t =
     List.fold_left
       (fun (cs, hs) (name, metric) ->
         match metric with
-        | Counter (c, _) -> ((name, Json.Int c.c_value) :: cs, hs)
-        | Hist (h, _) -> (cs, (name, Histogram.to_json h) :: hs))
+        | Counter c -> ((name, Json.Int c.c_value) :: cs, hs)
+        | Hist h -> (cs, (name, Histogram.to_json h) :: hs))
       ([], []) (List.rev (in_order t))
   in
   Json.Obj [ ("counters", Json.Obj counters); ("histograms", Json.Obj hists) ]
@@ -71,8 +51,8 @@ let to_csv t =
   List.iter
     (fun (name, metric) ->
       match metric with
-      | Counter (c, _) -> Buffer.add_string buf (Printf.sprintf "%s,%d\n" name c.c_value)
-      | Hist (h, _) ->
+      | Counter c -> Buffer.add_string buf (Printf.sprintf "%s,%d\n" name c.c_value)
+      | Hist h ->
         List.iter
           (fun (bound, count) ->
             if count > 0 then

@@ -13,7 +13,7 @@ type counter
 
 val create : unit -> t
 
-val counter : t -> ?help:string -> string -> counter
+val counter : t -> string -> counter
 (** Register (or look up) a counter by name.  Registering the same
     name twice returns the same counter; a name already used by a
     histogram raises [Invalid_argument]. *)
@@ -24,16 +24,10 @@ val set : counter -> int -> unit
 
 val value : counter -> int
 
-val histogram : t -> ?help:string -> bounds:int array -> string -> Histogram.t
-(** Register (or look up) a histogram by name.  [bounds] is ignored on
-    lookup of an existing histogram. *)
-
-val attach_histogram : t -> ?help:string -> string -> Histogram.t -> unit
+val attach_histogram : t -> string -> Histogram.t -> unit
 (** Register an externally-owned histogram (e.g. one maintained on the
     simulator hot path) under [name], replacing any previous metric of
     that name. *)
-
-val find_counter : t -> string -> counter option
 
 val to_json : t -> Json.t
 (** [{"counters": {...}, "histograms": {...}}]. *)

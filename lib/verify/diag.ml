@@ -23,12 +23,6 @@ let describe = function
          (List.length r.Lint.issues)
          Fmt.(option Lint.pp_issue)
          (match r.Lint.issues with [] -> None | i :: _ -> Some i))
-  | Deadline.Job_timeout { timeout_ms } ->
-    Some
-      (Fmt.str
-         "job timeout: wall-clock budget of %d ms exhausted (raise \
-          --timeout-ms if the run is genuinely this long)"
-         timeout_ms)
   | _ -> None
 
 (* The default failure action is process-level (print + exit 2), so

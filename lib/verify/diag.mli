@@ -1,15 +1,14 @@
 (** One-line diagnostics for the failure modes every binary shares.
 
-    A wild jump, a runaway loop, a memory fault, a lint rejection or a
-    wall-clock job timeout should end a CLI run with a single
-    structured line on stderr and exit code 2 — not an
-    uncaught-exception backtrace. *)
+    A wild jump, a runaway loop, a memory fault or a lint rejection
+    should end a CLI run with a single structured line on stderr and
+    exit code 2 — not an uncaught-exception backtrace. *)
 
 val describe : exn -> string option
 (** [Some line] for {!Elag_sim.Emulator.Runaway},
-    {!Elag_sim.Emulator.Bad_jump}, {!Elag_sim.Memory.Fault},
-    {!Lint.Rejected} and {!Deadline.Job_timeout}; [None] for anything
-    else.  The line never contains a newline. *)
+    {!Elag_sim.Emulator.Bad_jump}, {!Elag_sim.Memory.Fault} and
+    {!Lint.Rejected}; [None] for anything else.  The line never
+    contains a newline. *)
 
 val guard : ?fail:(string -> unit) -> string -> (unit -> unit) -> unit
 (** [guard prog f] runs [f ()]; on a described exception prints

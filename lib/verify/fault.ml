@@ -206,14 +206,12 @@ type baseline =
   ; base_retired : int
   ; base_cycles : int }
 
-let baseline ?max_insns ?(deadline = Deadline.never) (cfg : Elag_sim.Config.t)
-    program =
+let baseline ?max_insns (cfg : Elag_sim.Config.t) program =
   let pipe = Pipeline.create cfg in
   let pipe_obs = Pipeline.observer pipe in
   let hash = ref stream_hash_init in
   let retired = ref 0 in
   let obs pc insn eff taken next_pc =
-    Deadline.check deadline;
     pipe_obs pc insn eff taken next_pc;
     hash := stream_hash_step !hash pc insn eff taken next_pc;
     incr retired
@@ -236,9 +234,8 @@ type outcome =
 
 let outcome_ok o = o.output_ok && o.stream_ok && o.cycles_ok
 
-let run_plan ?max_insns ?(deadline = Deadline.never)
-    ~baseline:(base : baseline) (cfg : Elag_sim.Config.t) program (plan : plan)
-    =
+let run_plan ?max_insns ~baseline:(base : baseline) (cfg : Elag_sim.Config.t)
+    program (plan : plan) =
   if plan.first < 0 then invalid_arg "Fault.run_plan: negative first";
   (match plan.period with
   | Some p when p <= 0 -> invalid_arg "Fault.run_plan: non-positive period"
@@ -251,7 +248,6 @@ let run_plan ?max_insns ?(deadline = Deadline.never)
   let injections = ref 0 in
   let next_trigger = ref plan.first in
   let obs pc insn eff taken next_pc =
-    Deadline.check deadline;
     pipe_obs pc insn eff taken next_pc;
     hash := stream_hash_step !hash pc insn eff taken next_pc;
     incr retired;

@@ -70,12 +70,10 @@ type baseline =
   ; base_cycles : int }
 
 val baseline :
-  ?max_insns:int -> ?deadline:Deadline.t -> Elag_sim.Config.t ->
-  Elag_isa.Program.t -> baseline
+  ?max_insns:int -> Elag_sim.Config.t -> Elag_isa.Program.t -> baseline
 (** Fault-free run; shared across every plan on the same
-    (config, program) pair.  [deadline] is polled once per retired
-    instruction, so a hung run raises {!Deadline.Job_timeout} instead
-    of blocking its worker forever. *)
+    (config, program) pair.  Raises {!Elag_sim.Emulator.Runaway} once
+    [max_insns] instructions have retired. *)
 
 type outcome =
   { plan : plan
@@ -90,7 +88,6 @@ val outcome_ok : outcome -> bool
 
 val run_plan :
   ?max_insns:int ->
-  ?deadline:Deadline.t ->
   baseline:baseline ->
   Elag_sim.Config.t ->
   Elag_isa.Program.t ->

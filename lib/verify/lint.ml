@@ -36,7 +36,9 @@ let check_control issues program len pc insn =
         (Fmt.str "static target %d outside code segment [0, %d)" target len)
   | _ -> ()
 
-let check_load issues memory_size pc insn =
+let memory_size = Elag_sim.Memory.default_size
+
+let check_load issues pc insn =
   match insn with
   | Insn.Load { spec; size; addr; _ } -> (
     (match (spec, addr) with
@@ -66,7 +68,7 @@ let check_load issues memory_size pc insn =
            memory_size)
   | _ -> ()
 
-let check_data issues memory_size program =
+let check_data issues program =
   List.iter
     (fun (addr, bytes) ->
       let n = String.length bytes in
@@ -80,7 +82,7 @@ let check_data issues memory_size program =
     data_issue issues "heap-bounds"
       (Fmt.str "heap base %d outside memory of %d" hb memory_size)
 
-let check ?(memory_size = Elag_sim.Memory.default_size) program =
+let check program =
   let len = Program.length program in
   let issues = ref [] in
   let entry = Program.entry program in
@@ -91,13 +93,13 @@ let check ?(memory_size = Elag_sim.Memory.default_size) program =
     let insn = Program.insn program pc in
     check_registers issues pc insn;
     check_control issues program len pc insn;
-    check_load issues memory_size pc insn
+    check_load issues pc insn
   done;
-  check_data issues memory_size program;
+  check_data issues program;
   { checked = len; issues = List.rev !issues }
 
-let enforce ?memory_size program =
-  let r = check ?memory_size program in
+let enforce program =
+  let r = check program in
   if not (ok r) then raise (Rejected r)
 
 let pp_issue ppf i =

@@ -16,7 +16,7 @@
       the R_addr full adder accepts (paper §3.2.1);
     - absolute-addressed memory operations fit inside the memory
       image, and the static data image and heap base respect the
-      configured memory size. *)
+      emulator's memory size. *)
 
 type issue =
   { pc : int option  (** code position, or [None] for data/layout issues *)
@@ -31,10 +31,10 @@ val ok : report -> bool
 
 exception Rejected of report
 
-val check : ?memory_size:int -> Elag_isa.Program.t -> report
-(** [memory_size] defaults to {!Elag_sim.Memory.default_size}. *)
+val check : Elag_isa.Program.t -> report
+(** Bounds are checked against {!Elag_sim.Memory.default_size}. *)
 
-val enforce : ?memory_size:int -> Elag_isa.Program.t -> unit
+val enforce : Elag_isa.Program.t -> unit
 (** Raises {!Rejected} when {!check} finds any issue. *)
 
 val pp_issue : issue Fmt.t

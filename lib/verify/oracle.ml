@@ -101,15 +101,13 @@ let observer t : Emulator.observer =
 
 let divergence t = t.div
 
-let run ?max_insns ?keep ?reference ?(deadline = Deadline.never)
-    (cfg : Elag_sim.Config.t) program =
+let run ?max_insns ?keep ?reference (cfg : Elag_sim.Config.t) program =
   let reference_prog = Option.value reference ~default:program in
   let oracle = create ?keep reference_prog in
   let pipe = Elag_sim.Pipeline.create cfg in
   let pipe_obs = Elag_sim.Pipeline.observer pipe in
   let oracle_obs = observer oracle in
   let obs pc insn eff taken next_pc =
-    Deadline.check deadline;
     pipe_obs pc insn eff taken next_pc;
     oracle_obs pc insn eff taken next_pc
   in

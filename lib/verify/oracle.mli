@@ -60,7 +60,6 @@ val run :
   ?max_insns:int ->
   ?keep:int ->
   ?reference:Elag_isa.Program.t ->
-  ?deadline:Deadline.t ->
   Elag_sim.Config.t ->
   Elag_isa.Program.t ->
   report
@@ -68,9 +67,9 @@ val run :
     configuration with the oracle attached, comparing against
     [reference] (default: the program itself — the self-check used by
     the engine's verification suite; tests pass a deliberately
-    different reference to prove divergences are caught).  [deadline]
-    is polled once per retired instruction (default: never expires),
-    so supervised fuzz jobs can be cancelled cooperatively. *)
+    different reference to prove divergences are caught).  Raises
+    {!Elag_sim.Emulator.Runaway} once [max_insns] instructions have
+    retired. *)
 
 val signature : report -> string option
 (** [None] when the report is {!ok}; otherwise a stable label of the

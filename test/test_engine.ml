@@ -133,89 +133,6 @@ let pin_jobs () =
         [ "table-256-hw"; "calc-16"; "dual-256-cc" ])
     [ "072.sc"; "PGP Encode"; "PGP Decode" ]
 
-(* --- supervised pool ------------------------------------------------------- *)
-
-module Deadline = Elag_verify.Deadline
-
-let test_supervised_ok_matches_run () =
-  let items = Array.init 30 (fun i -> i) in
-  let outcomes =
-    Pool.run_supervised ~jobs:4 (fun _deadline i -> i * i) items
-  in
-  Alcotest.(check (list int))
-    "all ok, in order"
-    (Array.to_list (Array.map (fun i -> i * i) items))
-    (Array.to_list
-       (Array.map
-          (function Ok v -> v | Error _ -> Alcotest.fail "unexpected failure")
-          outcomes))
-
-(* The acceptance case for the hang-proof pool: one deliberately
-   looping job among 20 must come back as Job_timeout while the other
-   19 results are unchanged, at every jobs setting. *)
-let test_supervised_hung_job_among_20 () =
-  let items = Array.init 20 (fun i -> i) in
-  let job deadline i =
-    if i = 7 then
-      (* a worker that would never return: only the deadline poll —
-         the same hook simulator jobs drive once per retired
-         instruction — can reclaim it *)
-      while true do
-        Deadline.check deadline
-      done;
-    i * 100
-  in
-  List.iter
-    (fun jobs ->
-      let outcomes = Pool.run_supervised ~timeout_ms:50 ~jobs job items in
-      Array.iteri
-        (fun i outcome ->
-          match (i, outcome) with
-          | 7, Error (Pool.Job_timeout { timeout_ms }) ->
-            check "timeout budget reported" 50 timeout_ms
-          | 7, Ok _ -> Alcotest.fail "hung job reported success"
-          | 7, Error f -> Alcotest.fail (Pool.failure_to_string f)
-          | i, Ok v ->
-            check (Printf.sprintf "job %d identity at jobs=%d" i jobs)
-              (i * 100) v
-          | i, Error f ->
-            Alcotest.fail
-              (Printf.sprintf "job %d: %s" i (Pool.failure_to_string f)))
-        outcomes;
-      check "exactly one failure" 1
-        (List.length (Pool.outcome_failures outcomes)))
-    [ 1; 4 ]
-
-let test_supervised_crash_runs_once () =
-  (* a raising job becomes Job_failed with its message after exactly
-     one run; the other jobs are unaffected, at every jobs setting *)
-  List.iter
-    (fun jobs ->
-      let runs = Atomic.make 0 in
-      let job _deadline i =
-        if i = 1 then begin
-          Atomic.incr runs;
-          failwith "boom"
-        end;
-        i + 10
-      in
-      let outcomes = Pool.run_supervised ~jobs job (Array.init 3 (fun i -> i)) in
-      let label = Printf.sprintf "jobs=%d: " jobs in
-      (match outcomes.(1) with
-      | Error (Pool.Job_failed { message }) ->
-        check_str (label ^ "message kept") (Printexc.to_string (Failure "boom")) message
-      | _ -> Alcotest.fail (label ^ "expected Job_failed"));
-      check (label ^ "crashing job ran once") 1 (Atomic.get runs);
-      check_bool (label ^ "other jobs unaffected") true
-        (outcomes.(0) = Ok 10 && outcomes.(2) = Ok 12))
-    [ 1; 4 ]
-
-let test_supervised_rejects_bad_args () =
-  Alcotest.check_raises "non-positive timeout"
-    (Invalid_argument "Pool.run_supervised: non-positive timeout") (fun () ->
-      ignore
-        (Pool.run_supervised ~timeout_ms:0 ~jobs:1 (fun _ i -> i) [| 1 |]))
-
 let test_parallel_matches_serial () =
   let sweep jobs =
     Json.to_string ~pretty:true
@@ -232,14 +149,6 @@ let suite =
   ; Alcotest.test_case "pool: failures aggregate" `Quick
       test_pool_aggregates_failures
   ; Alcotest.test_case "pool: full coverage" `Quick test_pool_runs_all_domains
-  ; Alcotest.test_case "pool: supervised ok path" `Quick
-      test_supervised_ok_matches_run
-  ; Alcotest.test_case "pool: hung job among 20 times out" `Quick
-      test_supervised_hung_job_among_20
-  ; Alcotest.test_case "pool: supervised crash runs once" `Quick
-      test_supervised_crash_runs_once
-  ; Alcotest.test_case "pool: supervised arg validation" `Quick
-      test_supervised_rejects_bad_args
   ; Alcotest.test_case "cache: single flight" `Quick test_cache_single_flight
   ; Alcotest.test_case "engine: caching" `Quick test_engine_caches
   ; Alcotest.test_case "engine: distribution sums" `Quick test_distribution_sums

@@ -127,7 +127,8 @@ let test_metrics_registry () =
   Metrics.incr ~by:41 c;
   check "counter value" 42 (Metrics.value c);
   check_bool "same name, same counter" true (Metrics.counter reg "cycles" == c);
-  let h = Metrics.histogram reg ~bounds:[| 1; 2 |] "lat" in
+  let h = Histogram.create ~bounds:[| 1; 2 |] in
+  Metrics.attach_histogram reg "lat" h;
   Histogram.observe h 1;
   Histogram.observe h 5;
   let csv = Metrics.to_csv reg in
@@ -137,7 +138,7 @@ let test_metrics_registry () =
     (List.mem "lat_bucket_le_inf,1" (String.split_on_char '\n' csv));
   check_bool "name collision rejected" true
     (try
-       ignore (Metrics.histogram reg ~bounds:[| 1 |] "cycles");
+       ignore (Metrics.counter reg "lat");
        false
      with Invalid_argument _ -> true)
 

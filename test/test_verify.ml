@@ -1,4 +1,5 @@
-(* Verification-layer tests: the seeded PRNG, the differential oracle
+(* Verification-layer tests: the seeded PRNG, the instruction budget
+   on every retire-driven entry point, the differential oracle
    (self-agreement and deliberate divergence), the fault-injection
    smoke matrix, the EPA-32 lint on both compiled and hand-broken
    programs, the structured lowering errors, and the shared CLI
@@ -11,8 +12,9 @@ module Program = Elag_isa.Program
 module Memory = Elag_sim.Memory
 module Emulator = Elag_sim.Emulator
 module Config = Elag_sim.Config
+module Pipeline = Elag_sim.Pipeline
+module Profile = Elag_harness.Profile
 module Xorshift = Elag_verify.Xorshift
-module Deadline = Elag_verify.Deadline
 module Oracle = Elag_verify.Oracle
 module Fault = Elag_verify.Fault
 module Lint = Elag_verify.Lint
@@ -100,35 +102,31 @@ let test_xorshift_split_independent () =
   done;
   check_bool "child stream differs from parent stream" true !differs
 
-(* --- deadline ------------------------------------------------------------- *)
+(* --- instruction budget ------------------------------------------------------ *)
 
-let test_deadline_never_and_opt () =
-  let d = Deadline.never in
-  for _ = 1 to 10_000 do
-    Deadline.check d
-  done;
-  check_bool "never expires" false (Deadline.expired Deadline.never);
-  (* opt None = never; opt (Some ms) = started budget *)
-  for _ = 1 to 10_000 do
-    Deadline.check (Deadline.opt None)
-  done;
-  Alcotest.check_raises "non-positive budget rejected"
-    (Invalid_argument "Deadline.start") (fun () ->
-      ignore (Deadline.start ~timeout_ms:0))
-
-let test_deadline_expires () =
-  let d = Deadline.start ~timeout_ms:5 in
-  Unix.sleepf 0.02;
-  let raised = ref None in
-  (try
-     (* the clock is sampled every 1024 checks, so spin well past one
-        sampling window *)
-     for _ = 1 to 100_000 do
-       Deadline.check d
-     done
-   with Deadline.Job_timeout { timeout_ms } -> raised := Some timeout_ms);
-  check "raises Job_timeout with its budget" 5
-    (Option.value !raised ~default:(-1))
+(* The instruction budget is the only bound on a run, so every
+   retire-driven entry point must stop a one-instruction spin loop with
+   [Runaway max_insns]. *)
+let test_budget_bounds_every_entry_point () =
+  let spin = asm [ Program.Label "spin"; Program.Insn (Insn.Jump "spin") ] in
+  let max_insns = 137 in
+  let cfg = Config.with_mechanism (Config.Mechanism.of_string_exn "dual-cc") Config.default in
+  let baseline =
+    { Fault.base_output = ""; base_hash = 0; base_retired = 0; base_cycles = 0 }
+  in
+  let plan =
+    { Fault.name = "spin"; seed = 1; first = 1; period = Some 10
+    ; target = Fault.Btb_target { slot = 0 } }
+  in
+  List.iter
+    (fun (name, run) ->
+      Alcotest.check_raises name (Emulator.Runaway max_insns) run)
+    [ ("Pipeline.run", fun () -> ignore (Pipeline.run ~max_insns cfg spin))
+    ; ("Profile.collect", fun () -> ignore (Profile.collect ~max_insns spin))
+    ; ("Oracle.run", fun () -> ignore (Oracle.run ~max_insns cfg spin))
+    ; ("Fault.baseline", fun () -> ignore (Fault.baseline ~max_insns cfg spin))
+    ; ( "Fault.run_plan"
+      , fun () -> ignore (Fault.run_plan ~max_insns ~baseline cfg spin plan) ) ]
 
 (* --- fault target parsing -------------------------------------------------- *)
 
@@ -293,11 +291,11 @@ let test_lint_absolute_bounds () =
       [ Program.Insn
           (Insn.Load
              { spec = Insn.Ld_n; size = Insn.Word; sign = Insn.Signed
-             ; dst = 10; addr = Insn.Absolute 100_000 })
+             ; dst = 10; addr = Insn.Absolute (Memory.default_size - 2) })
       ; Program.Insn Insn.Halt ]
   in
-  check_bool "flagged under a 4K memory" true
-    (List.mem "absolute-bounds" (rules (Lint.check ~memory_size:4096 p)))
+  check_bool "word straddling the end of memory flagged" true
+    (List.mem "absolute-bounds" (rules (Lint.check p)))
 
 let test_lint_enforce_raises () =
   let p = asm [ Program.Insn (Insn.Jump "end"); Program.Label "end" ] in
@@ -360,8 +358,7 @@ let test_diag_guard_classes () =
     [ ("runaway", Emulator.Runaway 400_000_000)
     ; ("bad jump", Emulator.Bad_jump { pc = 7; retired = 41 })
     ; ("memory fault", Memory.Fault 0x7FFF_FFFF)
-    ; ("lint rejection", lint_reject)
-    ; ("job timeout", Deadline.Job_timeout { timeout_ms = 250 }) ];
+    ; ("lint rejection", lint_reject) ];
   (* unrelated exceptions must keep their identity through the guard *)
   Alcotest.check_raises "unknown exceptions re-raised" (Failure "x")
     (fun () -> Diag.guard ~fail:(fun _ -> ()) "test" (fun () -> failwith "x"))
@@ -373,8 +370,8 @@ let suite =
       test_xorshift_zero_state_remapped
   ; Alcotest.test_case "xorshift: split independent" `Quick
       test_xorshift_split_independent
-  ; Alcotest.test_case "deadline: never/opt" `Quick test_deadline_never_and_opt
-  ; Alcotest.test_case "deadline: expires" `Quick test_deadline_expires
+  ; Alcotest.test_case "budget: bounds every entry point" `Quick
+      test_budget_bounds_every_entry_point
   ; Alcotest.test_case "fault: target parsing" `Quick
       test_fault_target_of_string
   ; Alcotest.test_case "oracle: self agreement" `Quick test_oracle_self_agreement
