@@ -1,22 +1,23 @@
 (* Differential fuzzing campaigns.
 
    One iteration = one seeded program (EPA-32 typed construction, or
-   MiniC through the front-end every [minic_every]-th iteration) run
-   through every mechanism preset under the differential oracle, with
-   a seeded fault plan layered on some iterations.  Iterations are
-   pure functions of the per-iteration seed, so they fan out on the
-   pool and the merged summary is byte-identical at every [-j]
-   setting; per-iteration seeds are drawn serially from the master
-   stream before the fan-out.  Every run is bounded by the program's
-   instruction budget, never by a wall clock.
+   MiniC through the front-end every [minic_every]-th iteration)
+   checked once by the differential oracle and timed under every
+   mechanism preset, with a seeded fault plan layered on some
+   iterations.  Iterations are pure functions of the per-iteration
+   seed, so they fan out on the pool and the merged summary is
+   byte-identical at every [-j] setting; per-iteration seeds are drawn
+   serially from the master stream before the fan-out.  Every run is
+   bounded by the program's instruction budget, never by a wall
+   clock.
 
    On a finding, the offending EPA program is shrunk against the
    oracle's failure signature and the minimal repro is persisted to
    the corpus (serially, after the pool drains — no parallel file
-   writes).  An iteration stops at its first finding: with a planted
-   mutation every mechanism diverges identically, and for real bugs
-   the per-mechanism re-runs of one suspect program belong in the
-   repro workflow, not the campaign loop. *)
+   writes).  An iteration stops at its first finding: the oracle's
+   verdict does not depend on the preset, and for real bugs the
+   per-mechanism re-runs of one suspect program belong in the repro
+   workflow, not the campaign loop. *)
 
 module Config = Elag_sim.Config
 module Oracle = Elag_verify.Oracle
@@ -163,10 +164,10 @@ let run_iteration config (iter, seed) =
     match source with
     | "epa" ->
       let g = Gen.program ~params:config.gen_params seed in
-      Ok (Some g, g.Gen.program, g.Gen.budget)
+      (Some g, g.Gen.program, g.Gen.budget)
     | _ ->
       let program = Elag_harness.Compile.compile (Gen.minic seed) in
-      Ok (None, program, Gen.minic_budget)
+      (None, program, Gen.minic_budget)
   with
   | exception e ->
     add
@@ -174,8 +175,7 @@ let run_iteration config (iter, seed) =
          ~detail:(Printf.sprintf "generation: %s" (Printexc.to_string e))
          ~report:Json.Null ~listing:"" ~insns:0 ~shrunk:false);
     finish ()
-  | Error _ -> assert false
-  | Ok (g, program, budget) -> (
+  | g, program, budget -> (
     let listing () = Fmt.str "%a" Elag_isa.Program.pp program in
     match Lint.check program with
     | lint when not (Lint.ok lint) ->
@@ -187,53 +187,59 @@ let run_iteration config (iter, seed) =
            ~insns:(Elag_isa.Program.length program) ~shrunk:false);
       finish ()
     | _ -> (
-      (* differential oracle across every mechanism preset *)
+      (* One oracle verdict covers every preset: the retire stream is a
+         function of the program alone, so the first preset runs under
+         the oracle and each remaining one is only timed, one pipeline
+         live at a time.  [oracle_runs] counts the preset runs the
+         verdict covers. *)
       let stop = ref false in
-      List.iter
-        (fun mechanism ->
+      let crash mech_name e =
+        stop := true;
+        add
+          (mk ~mechanism:mech_name ~kind:Crash
+             ~detail:(Printexc.to_string e) ~report:Json.Null
+             ~listing:(listing ())
+             ~insns:(Elag_isa.Program.length program) ~shrunk:false)
+      in
+      List.iteri
+        (fun k mechanism ->
           if not !stop then begin
             let cfg = Config.with_mechanism mechanism Config.default in
             let mech_name = Config.Mechanism.to_string mechanism in
             incr oracle_runs;
-            match
-              Oracle.run ~max_insns:budget
-                ?reference:
-                  (Option.map
-                     (fun m -> Gen.apply_mutation m program)
-                     config.mutation)
-                cfg program
-            with
-            | exception e ->
-              stop := true;
-              add
-                (mk ~mechanism:mech_name ~kind:Crash
-                   ~detail:(Printexc.to_string e) ~report:Json.Null
-                   ~listing:(listing ())
-                   ~insns:(Elag_isa.Program.length program) ~shrunk:false)
-            | report -> (
-              match Oracle.signature report with
-              | None -> ()
-              | Some signature ->
-                stop := true;
-                let listing, insns, shrunk =
-                  match g with
-                  | Some g -> (
-                    match
-                      shrink_epa ~cfg ~mutation:config.mutation ~signature g
-                    with
-                    | l, n -> (l, n, true)
-                    | exception _ ->
-                      ( Fmt.str "%a" Elag_isa.Program.pp program
-                      , Elag_isa.Program.length program
-                      , false ))
-                  | None ->
-                    ( listing ()
-                    , Elag_isa.Program.length program
-                    , false )
-                in
-                add
-                  (mk ~mechanism:mech_name ~kind:Divergence ~detail:signature
-                     ~report:(Oracle.to_json report) ~listing ~insns ~shrunk))
+            if k > 0 then
+              match Elag_sim.Pipeline.simulate ~max_insns:budget cfg program with
+              | exception e -> crash mech_name e
+              | _ -> ()
+            else
+              match
+                Oracle.run ~max_insns:budget
+                  ?reference:
+                    (Option.map
+                       (fun m -> Gen.apply_mutation m program)
+                       config.mutation)
+                  cfg program
+              with
+              | exception e -> crash mech_name e
+              | report -> (
+                match Oracle.signature report with
+                | None -> ()
+                | Some signature ->
+                  stop := true;
+                  let listing, insns, shrunk =
+                    match g with
+                    | Some g -> (
+                      match
+                        shrink_epa ~cfg ~mutation:config.mutation ~signature g
+                      with
+                      | l, n -> (l, n, true)
+                      | exception _ ->
+                        (listing (), Elag_isa.Program.length program, false))
+                    | None -> (listing (), Elag_isa.Program.length program, false)
+                  in
+                  add
+                    (mk ~mechanism:mech_name ~kind:Divergence ~detail:signature
+                       ~report:(Oracle.to_json report) ~listing ~insns ~shrunk))
           end)
         config.mechanisms;
       (* fault layer: seeded plan on clean EPA programs *)

@@ -2,9 +2,11 @@
 
     One iteration = one seeded program (EPA-32 typed construction, or
     MiniC through the front-end every [minic_every]-th iteration)
-    linted and run through every configured mechanism preset under the
-    differential oracle, with a seeded fault plan layered on every
-    [fault_every]-th iteration.  Iterations are pure functions of
+    linted, checked once by the differential oracle under the first
+    configured preset and timed under each of the others, with a
+    seeded fault plan layered on every [fault_every]-th iteration.
+    The retire stream depends on the program alone, so one oracle
+    verdict covers every preset.  Iterations are pure functions of
     their seed and fan out on the pool ({!Elag_engine.Pool.run}), so
     the summary is byte-identical at every jobs setting.  Each run is
     bounded by its program's instruction budget; an iteration that
@@ -55,6 +57,8 @@ type summary =
   ; jobs : int
   ; iterations : int
   ; oracle_runs : int
+    (** preset runs covered by the oracle's verdict: one per preset
+        run, the oracle's own run included *)
   ; fault_runs : int
   ; findings : finding list
   ; failures : (int * string) list

@@ -97,59 +97,72 @@ let loop_has_memory_clobber ?summaries (cfg : Cfg.t) (loop : Loops.loop) =
         b.Ir.insts)
     loop.Loops.body
 
+(* The loop is analysed once and its instructions hoisted one at a
+   time, rescanning from the start after each hoist.  The analysis
+   stays exact for the remaining candidates once the hoisted
+   instruction's def is dropped from [def_counts]:
+   - [live_at_header] changes only in the hoisted dst and its uses; a
+     candidate's dst has exactly one def in the loop, so it is neither
+     (the hoisted dst has none left, its uses never had one);
+   - dominance among body blocks is unchanged by adding a preheader;
+   - [memory_clobbered] is unchanged, since only pure instructions and
+     loads move, never stores or calls.
+   The preheader made for the first hoist is the one every later hoist
+   would find again, so it is reused. *)
 let run_loop ?summaries (f : Ir.func) (loop : Loops.loop) =
-  let changed = ref false in
-  let continue_ = ref true in
-  while !continue_ do
-    continue_ := false;
-    let cfg = Cfg.of_func f in
-    if SS.for_all (fun l -> Cfg.reachable cfg l) loop.Loops.body then begin
-      let dom = Dominators.compute cfg in
-      let live = Liveness.compute cfg in
-      let def_counts = loop_def_counts cfg loop in
-      let defined_in_loop v = Hashtbl.mem def_counts v in
-      let single_def_in_loop v = Hashtbl.find_opt def_counts v = Some 1 in
-      let live_at_header = Liveness.live_in live loop.Loops.header in
-      let memory_clobbered = loop_has_memory_clobber ?summaries cfg loop in
-      let dominates_latches label =
-        List.for_all (fun latch -> Dominators.dominates dom label latch) loop.Loops.back_edges
+  let cfg = Cfg.of_func f in
+  if not (SS.for_all (fun l -> Cfg.reachable cfg l) loop.Loops.body) then false
+  else begin
+    let dom = Dominators.compute cfg in
+    let live = Liveness.compute cfg in
+    let def_counts = loop_def_counts cfg loop in
+    let defined_in_loop v = Hashtbl.mem def_counts v in
+    let single_def_in_loop v = Hashtbl.find_opt def_counts v = Some 1 in
+    let live_at_header = Liveness.live_in live loop.Loops.header in
+    let memory_clobbered = loop_has_memory_clobber ?summaries cfg loop in
+    let dominates_latches label =
+      List.for_all (fun latch -> Dominators.dominates dom label latch) loop.Loops.back_edges
+    in
+    let hoistable label inst =
+      let pure =
+        match inst with
+        | Ir.Bin _ | Ir.Mov _ | Ir.Global_addr _ | Ir.Slot_addr _ -> true
+        | Ir.Load _ -> not memory_clobbered
+        | Ir.Store _ | Ir.Call _ -> false
       in
-      let hoistable label inst =
-        let pure =
-          match inst with
-          | Ir.Bin _ | Ir.Mov _ | Ir.Global_addr _ | Ir.Slot_addr _ -> true
-          | Ir.Load _ -> not memory_clobbered
-          | Ir.Store _ | Ir.Call _ -> false
-        in
-        pure
-        && (match Ir.inst_defs inst with
-           | [ d ] ->
-             single_def_in_loop d
-             && (not (VS.mem d live_at_header))
-             && List.for_all (fun u -> not (defined_in_loop u)) (Ir.inst_uses inst)
-           | _ -> false)
-        && dominates_latches label
-      in
-      (* find one hoistable instruction, move it, restart *)
-      let moved = ref false in
-      SS.iter
-        (fun label ->
-          if not !moved then begin
+      pure
+      && (match Ir.inst_defs inst with
+         | [ d ] ->
+           single_def_in_loop d
+           && (not (VS.mem d live_at_header))
+           && List.for_all (fun u -> not (defined_in_loop u)) (Ir.inst_uses inst)
+         | _ -> false)
+      && dominates_latches label
+    in
+    (* the first hoistable instruction in body order, if any *)
+    let next () =
+      SS.fold
+        (fun label found ->
+          match found with
+          | Some _ -> found
+          | None ->
             let b = Cfg.block cfg label in
-            match List.find_opt (hoistable label) b.Ir.insts with
-            | Some inst ->
-              b.Ir.insts <- List.filter (fun i -> i != inst) b.Ir.insts;
-              let pre = make_preheader f (Cfg.of_func f) loop in
-              pre.Ir.insts <- pre.Ir.insts @ [ inst ];
-              moved := true;
-              changed := true;
-              continue_ := true
-            | None -> ()
-          end)
-        loop.Loops.body
-    end
-  done;
-  !changed
+            Option.map (fun inst -> (b, inst)) (List.find_opt (hoistable label) b.Ir.insts))
+        loop.Loops.body None
+    in
+    let preheader = lazy (make_preheader f cfg loop) in
+    let rec hoist changed =
+      match next () with
+      | None -> changed
+      | Some (b, inst) ->
+        b.Ir.insts <- List.filter (fun i -> i != inst) b.Ir.insts;
+        List.iter (Hashtbl.remove def_counts) (Ir.inst_defs inst);
+        let pre = Lazy.force preheader in
+        pre.Ir.insts <- pre.Ir.insts @ [ inst ];
+        hoist true
+    in
+    hoist false
+  end
 
 let run ?summaries (f : Ir.func) =
   let cfg = Cfg.of_func f in

@@ -39,65 +39,109 @@ type report =
 let ok r =
   r.divergence = None && r.outputs_match && not r.reference_trailing
 
+(* The checker keeps no per-retire allocation: the reference retire is
+   captured by one closure built in [create] (passed to
+   {!Emulator.step} as a preallocated option), the agreeing events sit
+   in a fixed ring of parallel arrays (retire [i] in slot [i mod keep]),
+   and [event] records are built only at the divergence. *)
 type t =
   { reference : Emulator.t
   ; keep : int
-  ; recent : event Queue.t
+  ; ring_pc : int array
+  ; ring_insn : Insn.t array
+  ; ring_eff : int array
+  ; ring_taken : bool array
+  ; ring_next_pc : int array
   ; mutable compared : int
-  ; mutable div : divergence option }
+  ; mutable div : divergence option
+  ; mutable ref_pc : int
+  ; mutable ref_insn : Insn.t
+  ; mutable ref_eff : int
+  ; mutable ref_taken : bool
+  ; mutable ref_next_pc : int
+  ; capture : Emulator.observer option }
 
 let create ?(keep = 8) program =
   if keep < 0 then invalid_arg "Oracle.create";
-  { reference = Emulator.create program
-  ; keep
-  ; recent = Queue.create ()
-  ; compared = 0
-  ; div = None }
+  let rec t =
+    { reference = Emulator.create program
+    ; keep
+    ; ring_pc = Array.make keep 0
+    ; ring_insn = Array.make keep Insn.Nop
+    ; ring_eff = Array.make keep 0
+    ; ring_taken = Array.make keep false
+    ; ring_next_pc = Array.make keep 0
+    ; compared = 0
+    ; div = None
+    ; ref_pc = 0
+    ; ref_insn = Insn.Nop
+    ; ref_eff = 0
+    ; ref_taken = false
+    ; ref_next_pc = 0
+    ; capture =
+        Some
+          (fun pc insn eff taken next_pc ->
+            t.ref_pc <- pc;
+            t.ref_insn <- insn;
+            t.ref_eff <- eff;
+            t.ref_taken <- taken;
+            t.ref_next_pc <- next_pc) }
+  in
+  t
 
-let recent_list t = List.of_seq (Queue.to_seq t.recent)
-
-let event_equal a b =
-  a.ev_pc = b.ev_pc && a.ev_insn = b.ev_insn && a.ev_eff = b.ev_eff
-  && a.ev_taken = b.ev_taken && a.ev_next_pc = b.ev_next_pc
+(* the last [min keep compared] agreeing events, oldest first *)
+let recent_list t =
+  List.init (min t.keep t.compared) (fun k ->
+      let i = t.compared - min t.keep t.compared + k in
+      let s = i mod t.keep in
+      { ev_index = i
+      ; ev_pc = t.ring_pc.(s)
+      ; ev_insn = t.ring_insn.(s)
+      ; ev_eff = t.ring_eff.(s)
+      ; ev_taken = t.ring_taken.(s)
+      ; ev_next_pc = t.ring_next_pc.(s) })
 
 let observer t : Emulator.observer =
  fun pc insn eff taken next_pc ->
-  if t.div = None then begin
-    let subject =
-      { ev_index = t.compared
-      ; ev_pc = pc
-      ; ev_insn = insn
-      ; ev_eff = eff
-      ; ev_taken = taken
-      ; ev_next_pc = next_pc }
-    in
-    let captured = ref None in
-    let capture rpc rinsn reff rtaken rnext =
-      captured :=
-        Some
-          { ev_index = t.compared
-          ; ev_pc = rpc
-          ; ev_insn = rinsn
-          ; ev_eff = reff
-          ; ev_taken = rtaken
-          ; ev_next_pc = rnext }
-    in
-    ignore (Emulator.step ~observer:capture t.reference : bool);
-    match !captured with
-    | Some r when event_equal subject r ->
-      t.compared <- t.compared + 1;
+  match t.div with
+  | Some _ -> ()
+  | None ->
+    let stepped = Emulator.step ?observer:t.capture t.reference in
+    if
+      stepped && pc = t.ref_pc
+      && (insn == t.ref_insn || insn = t.ref_insn)
+      && eff = t.ref_eff && taken = t.ref_taken && next_pc = t.ref_next_pc
+    then begin
       if t.keep > 0 then begin
-        Queue.push subject t.recent;
-        if Queue.length t.recent > t.keep then ignore (Queue.pop t.recent)
-      end
-    | reference ->
+        let s = t.compared mod t.keep in
+        t.ring_pc.(s) <- pc;
+        t.ring_insn.(s) <- insn;
+        t.ring_eff.(s) <- eff;
+        t.ring_taken.(s) <- taken;
+        t.ring_next_pc.(s) <- next_pc
+      end;
+      t.compared <- t.compared + 1
+    end
+    else
+      let event pc insn eff taken next_pc =
+        { ev_index = t.compared
+        ; ev_pc = pc
+        ; ev_insn = insn
+        ; ev_eff = eff
+        ; ev_taken = taken
+        ; ev_next_pc = next_pc }
+      in
       t.div <-
         Some
           { div_index = t.compared
-          ; div_subject = subject
-          ; div_reference = reference
+          ; div_subject = event pc insn eff taken next_pc
+          ; div_reference =
+              (if stepped then
+                 Some
+                   (event t.ref_pc t.ref_insn t.ref_eff t.ref_taken
+                      t.ref_next_pc)
+               else None)
           ; div_recent = recent_list t }
-  end
 
 let divergence t = t.div
 

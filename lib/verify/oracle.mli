@@ -51,8 +51,9 @@ val create : ?keep:int -> Elag_isa.Program.t -> t
 
 val observer : t -> Elag_sim.Emulator.observer
 (** Feed one subject retire event: steps the reference emulator once
-    and compares.  After the first divergence the reference is left
-    untouched and further events are ignored. *)
+    and compares, allocating nothing while the streams agree.  After
+    the first divergence the reference is left untouched and further
+    events are ignored. *)
 
 val divergence : t -> divergence option
 

@@ -2,7 +2,9 @@
    terminating, deterministic, full specifier/addressing-mode
    coverage), the MiniC generator through the real front-end, campaign
    determinism across -j, the planted-mutation detection + shrinking +
-   corpus round-trip pipeline, and replay of the committed corpus. *)
+   corpus round-trip pipeline, the preset-independence of the oracle's
+   verdict, golden campaign summaries, and replay of the committed
+   corpus. *)
 
 module Insn = Elag_isa.Insn
 module Program = Elag_isa.Program
@@ -177,6 +179,77 @@ let test_campaign_catches_planted_mutation () =
         | Error msg -> Alcotest.fail ("replay: " ^ msg)))
     summary.Campaign.saved
 
+(* --- one verdict covers every preset ---------------------------------------- *)
+
+(* The campaign runs the oracle under the first preset only and just
+   times the rest.  That rests on a theorem of the model: the pipeline
+   observes the retire stream and never steers it, so every part of the
+   oracle's report except [subject_cycles] is a function of the program
+   and the reference alone.  Checked here on EPA and MiniC programs,
+   unmutated and under every planted mutation. *)
+let verdict ~budget ?reference cfg program =
+  match Oracle.run ~max_insns:budget ?reference cfg program with
+  | r ->
+    Ok
+      ( r.Oracle.compared
+      , r.Oracle.divergence
+      , (r.Oracle.subject_output, r.Oracle.reference_output, r.Oracle.outputs_match)
+      , r.Oracle.reference_trailing
+      , Oracle.signature r )
+  | exception e -> Error (Printexc.to_string e)
+
+let test_verdict_preset_independent () =
+  let programs =
+    List.init 6 (fun s ->
+        let g = Gen.program (1000 + s) in
+        (Printf.sprintf "epa %d" (1000 + s), g.Gen.program, g.Gen.budget))
+    @ List.init 3 (fun s ->
+          ( Printf.sprintf "minic %d" (2000 + s)
+          , Elag_harness.Compile.compile (Gen.minic (2000 + s))
+          , Gen.minic_budget ))
+  in
+  let diverged = ref 0 in
+  List.iter
+    (fun (name, program, budget) ->
+      List.iter
+        (fun mutation ->
+          let reference = Option.map (fun m -> Gen.apply_mutation m program) mutation in
+          let under m = verdict ~budget ?reference (Config.with_mechanism m Config.default) program in
+          let first = under (List.hd Config.Mechanism.all) in
+          (match first with Ok (_, Some _, _, _, _) -> incr diverged | _ -> ());
+          List.iter
+            (fun m ->
+              check_bool
+                (Printf.sprintf "%s, %s: %s agrees with %s" name
+                   (Option.value mutation ~default:"no mutation")
+                   (Config.Mechanism.to_string m)
+                   (Config.Mechanism.to_string (List.hd Config.Mechanism.all)))
+                true
+                (under m = first))
+            (List.tl Config.Mechanism.all))
+        (None :: List.map Option.some Gen.mutation_names))
+    programs;
+  check_bool "planted mutations diverge" true (!diverged > 0)
+
+(* --- golden campaign summaries --------------------------------------------- *)
+
+(* The summary of seed 42, 25 iterations, unmutated and under each
+   planted mutation: findings, shrunk repros and counters, pinned
+   byte for byte.  Regenerate with the hook described in {!Golden}. *)
+let golden_summaries () =
+  Json.to_string ~pretty:true
+    (Json.Obj
+       (List.map
+          (fun mutation ->
+            ( Option.value mutation ~default:"none"
+            , Campaign.summary_json
+                (Campaign.run { Campaign.default with seed = 42; iters = 25; mutation }) ))
+          (None :: List.map Option.some Gen.mutation_names)))
+  ^ "\n"
+
+let test_golden_summaries () =
+  Golden.check ~file:"golden_fuzz_summaries.json" (golden_summaries ())
+
 (* --- committed corpus replays ---------------------------------------------- *)
 
 let test_committed_corpus_replays () =
@@ -207,5 +280,8 @@ let suite =
       test_campaign_deterministic_across_jobs
   ; Alcotest.test_case "campaign: planted mutation caught+shrunk" `Quick
       test_campaign_catches_planted_mutation
+  ; Alcotest.test_case "oracle: verdict independent of preset" `Quick
+      test_verdict_preset_independent
+  ; Alcotest.test_case "campaign: golden summaries" `Quick test_golden_summaries
   ; Alcotest.test_case "corpus: committed entries replay" `Quick
       test_committed_corpus_replays ]

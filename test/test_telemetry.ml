@@ -288,10 +288,8 @@ let test_bric_stats_surfaced () =
 
 (* A tiny deterministic kernel: strided ld_p loads plus a store, so the
    report exercises sites, speculation and stall attribution.  The
-   golden file pins the exact report; to regenerate after an intended
-   report-shape or timing change:
-
-     ELAG_UPDATE_GOLDEN=$PWD/test/golden_report.json dune runtest *)
+   golden file pins the exact report; to regenerate it after an
+   intended report-shape or timing change, see {!Golden}. *)
 
 let golden_program () =
   let layout = Layout.create () in
@@ -324,22 +322,7 @@ let golden_report () =
   Json.to_string ~pretty:true (Report.to_json ~meta:[ ("workload", Json.String "golden") ] t)
   ^ "\n"
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let test_golden_report () =
-  (match Sys.getenv_opt "ELAG_UPDATE_GOLDEN" with
-  | Some path ->
-    let oc = open_out_bin path in
-    output_string oc (golden_report ());
-    close_out oc
-  | None -> ());
-  let expected = read_file "golden_report.json" in
-  check_str "report matches golden file" expected (golden_report ())
+let test_golden_report () = Golden.check ~file:"golden_report.json" (golden_report ())
 
 let suite =
   [ Alcotest.test_case "json: printing" `Quick test_json_printing

@@ -176,20 +176,54 @@ let test_oracle_detects_divergence () =
     check_bool "outputs differ" false r.Oracle.outputs_match
 
 let test_oracle_recent_ring_bounded () =
-  (* Agree for 6 nops, then diverge; keep=3 must cap the context. *)
-  let nops = List.init 6 (fun _ -> Program.Insn Insn.Nop) in
-  let subject = asm (nops @ print_n 1)
-  and reference = asm (nops @ print_n 2) in
-  let r = Oracle.run ~keep:3 ~reference Config.default subject in
-  match r.Oracle.divergence with
-  | None -> Alcotest.fail "expected a divergence"
-  | Some d ->
-    check "diverges after the prefix" 6 d.Oracle.div_index;
-    check "ring bounded by keep" 3 (List.length d.Oracle.div_recent);
-    (* oldest-first: the last ring entry is the retire just before *)
-    (match List.rev d.Oracle.div_recent with
-    | last :: _ -> check "ring ends at index 5" 5 last.Oracle.ev_index
-    | [] -> Alcotest.fail "ring empty")
+  (* Agree for [n] nops, then diverge: the context is exactly the last
+     [min keep n] agreeing retires, oldest first, including after the
+     ring has wrapped several times (20 nops, keep 3). *)
+  List.iter
+    (fun (n, keep, expected) ->
+      let nops = List.init n (fun _ -> Program.Insn Insn.Nop) in
+      let subject = asm (nops @ print_n 1)
+      and reference = asm (nops @ print_n 2) in
+      let r = Oracle.run ~keep ~reference Config.default subject in
+      let label what = Printf.sprintf "%d nops, keep %d: %s" n keep what in
+      match r.Oracle.divergence with
+      | None -> Alcotest.fail (label "expected a divergence")
+      | Some d ->
+        check (label "diverges after the prefix") n d.Oracle.div_index;
+        check_bool (label "context indices") true
+          (List.map (fun e -> e.Oracle.ev_index) d.Oracle.div_recent = expected);
+        check_bool (label "context pcs") true
+          (List.map (fun e -> e.Oracle.ev_pc) d.Oracle.div_recent = expected))
+    [ (6, 3, [ 3; 4; 5 ]); (20, 3, [ 17; 18; 19 ]); (5, 0, []) ]
+
+(* The lockstep allocates nothing per retire: after a warm-up, the
+   oracle's observer riding a dual-cc pipeline (exactly as in
+   [Oracle.run]) costs under one minor-heap word per retire over PGP
+   Decode's first million retires.  Modelled on the pipeline's own
+   allocation test in test_sim. *)
+let test_oracle_allocation_free () =
+  let e = Lazy.force engine in
+  let p = Engine.program e (Suite.find "PGP Decode") in
+  let cfg = Config.with_mechanism (Config.Mechanism.of_string_exn "dual-cc") Config.default in
+  let warmup = 100_000 and total = 1_000_000 in
+  let oracle = Oracle.create p in
+  let pipe = Pipeline.create cfg in
+  let pipe_obs = Pipeline.observer pipe and oracle_obs = Oracle.observer oracle in
+  let observer pc insn eff taken next_pc =
+    pipe_obs pc insn eff taken next_pc;
+    oracle_obs pc insn eff taken next_pc
+  in
+  let subject = Emulator.create p in
+  let run_to n = try Emulator.run ~observer ~max_insns:n subject with Emulator.Runaway _ -> () in
+  run_to warmup;
+  let before = Gc.minor_words () in
+  run_to total;
+  let words = Gc.minor_words () -. before in
+  let retires = Emulator.retired subject - warmup in
+  check_bool "ran past warm-up" true (retires > 0);
+  check_bool "still agreeing" true (Oracle.divergence oracle = None);
+  let per_retire = words /. float_of_int retires in
+  if per_retire >= 1. then Alcotest.failf "%.2f minor words per retire" per_retire
 
 let test_oracle_on_workload () =
   let e = Lazy.force engine in
@@ -379,6 +413,8 @@ let suite =
       test_oracle_detects_divergence
   ; Alcotest.test_case "oracle: recent ring bounded" `Quick
       test_oracle_recent_ring_bounded
+  ; Alcotest.test_case "oracle: allocation-free lockstep" `Quick
+      test_oracle_allocation_free
   ; Alcotest.test_case "oracle: workload green" `Quick test_oracle_on_workload
   ; Alcotest.test_case "fault: smoke matrix" `Quick test_fault_smoke_matrix
   ; Alcotest.test_case "fault: plans deterministic" `Quick
