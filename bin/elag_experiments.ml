@@ -3,8 +3,17 @@
 
      elag_experiments [-j N] [artifact]
        artifact: table2 | fig5a | fig5b | fig5c | table3 | table4 | all
+               | ablation | report
                | lint | faults | verify-smoke | verify | fuzz
        -j N:     worker domains (default: Domain.recommended_domain_count)
+
+   [all] prints every table and figure.  [ablation] prints the
+   dual-path speedup against design choices (issue width, cache ways,
+   miss penalty, unroll factor, table size) below the zero-latency
+   ceiling.  [report] prints baseline and dual-cc cycles per workload
+   and writes BENCH_pipeline.json in the current directory: the
+   committed behaviour contract, with the dual-cc stall breakdown and
+   full config provenance.  Neither is part of [all].
 
    The verification artifacts run the robustness suites instead of the
    paper tables: [lint] statically checks every compiled workload,
@@ -41,7 +50,7 @@ module Json = Elag_telemetry.Json
 let usage () =
   prerr_endline
     "usage: elag_experiments [-j N] [table2|fig5a|fig5b|fig5c|table3|table4|all\
-     |lint|faults|verify-smoke|verify|fuzz]\n\
+     |ablation|report|lint|faults|verify-smoke|verify|fuzz]\n\
      fuzz flags: [--seed S] [--iters N] [--corpus DIR] [--mutation NAME]";
   exit 1
 
@@ -130,6 +139,8 @@ let () =
   | "table3" -> Experiments.print_table3 engine
   | "table4" -> Experiments.print_table4 engine
   | "all" -> Experiments.run_all engine
+  | "ablation" -> Experiments.print_ablation engine
+  | "report" -> Experiments.write_pipeline_report engine
   | "lint" -> finish (lint_suite engine)
   | "faults" -> finish (fault_suite engine)
   | "verify-smoke" ->

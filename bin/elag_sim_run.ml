@@ -27,7 +27,9 @@
 
    Every run is bounded by its instruction budget: --max-insns N, or
    the emulator's default.  Emulate, --oracle and --fault runs that
-   exceed it fail with a runaway error and exit 2.
+   exceed it fail with a runaway error and exit 2.  --all <mechanism>
+   times whole workloads, so it rejects --max-insns with the usage
+   text.
 
    Verification (single timed runs):
 
@@ -290,7 +292,7 @@ let () =
   let max_insns = !max_insns in
   match (!all, !oracle, !fault, List.rev !positional, !report, !trace_file) with
   | true, false, None, [], None, None -> emulate_all ~jobs:!jobs ~max_insns
-  | true, false, None, [ mech ], None, None ->
+  | true, false, None, [ mech ], None, None when max_insns = None ->
     time_all ~jobs:!jobs (mechanism_of_string mech)
   | false, false, None, [], None, None -> emulate_all ~jobs:!jobs ~max_insns
   | false, false, None, [ name ], None, None ->

@@ -134,33 +134,3 @@ let run_job t (j : Job.t) =
   simulate ~variant:j.Job.variant t j.Job.workload j.Job.mechanism
 
 let run_jobs t js = map t (fun j -> (j, run_job t j)) js
-
-let sweep_json t js =
-  let row (j : Job.t) =
-    let s = run_job t j in
-    let base = base_cycles t j.Job.workload in
-    let w = j.Job.workload in
-    Json.Obj
-      [ ("workload", Json.String w.Workload.name)
-      ; ("suite", Json.String (Workload.suite_name w.Workload.suite))
-      ; ("mechanism", Config.mechanism_to_json j.Job.mechanism)
-      ; ( "variant"
-        , Json.String
-            (match j.Job.variant with
-            | Classified -> "classified"
-            | Reclassified -> "reclassified") )
-      ; ("instructions", Json.Int s.Pipeline.instructions)
-      ; ("cycles", Json.Int s.Pipeline.cycles)
-      ; ( "ipc"
-        , Json.Float
-            (float_of_int s.Pipeline.instructions
-            /. float_of_int (max 1 s.Pipeline.cycles)) )
-      ; ( "speedup"
-        , Json.Float (float_of_int base /. float_of_int (max 1 s.Pipeline.cycles)) )
-      ]
-  in
-  Json.Obj
-    [ ("schema", Json.String "elag.engine.sweep.v1")
-    ; ("config", Config.to_json Config.default)
-    ; ("job_count", Json.Int (List.length js))
-    ; ("results", Json.List (map t row js)) ]

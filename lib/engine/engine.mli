@@ -86,8 +86,3 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 
 val run_jobs : t -> Job.t list -> (Job.t * Pipeline.stats) list
 (** Simulate every job on the pool; results in job order. *)
-
-val sweep_json : t -> Job.t list -> Elag_telemetry.Json.t
-(** Run the jobs and render cycles / instructions / IPC / speedup per
-    job as a stable JSON artifact — the byte-comparable object behind
-    the [-j N] determinism pin and [BENCH_engine.json]. *)

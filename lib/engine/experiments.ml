@@ -1,14 +1,18 @@
 (* Generators for every table and figure in the paper's evaluation
    section, each printing measured values side by side with the
-   paper's.  Row data is computed through an Engine handle — rows in
-   parallel on its pool, merged in suite order — and printed only
-   after the parallel phase, so stdout is deterministic. *)
+   paper's, plus the design-choice ablations and the committed
+   pipeline report.  Row data is computed through an Engine handle —
+   rows in parallel on its pool, merged in suite order — and printed
+   only after the parallel phase, so stdout is deterministic. *)
 
 module Config = Elag_sim.Config
 module Pipeline = Elag_sim.Pipeline
 module Workload = Elag_workloads.Workload
 module Suite = Elag_workloads.Suite
 module Paper_data = Elag_harness.Paper_data
+module Compile = Elag_harness.Compile
+module Json = Elag_telemetry.Json
+module Stall = Elag_telemetry.Stall
 
 let pf = Printf.printf
 
@@ -283,3 +287,119 @@ let run_all engine =
   print_table3 engine;
   pf "\n";
   print_table4 engine
+
+(* --- Ablations: design choices ------------------------------------------ *)
+
+let ablation_panel = List.map Suite.find [ "130.li"; "072.sc"; "023.eqntott" ]
+
+(* One printed row: [label], then [f w] for every panel workload, the
+   workloads computed on the engine's pool. *)
+let print_row engine label f =
+  print_string label;
+  List.iter2
+    (fun (w : Workload.t) v -> pf "  %s %.3f" w.Workload.name v)
+    ablation_panel
+    (Engine.map engine f ablation_panel)
+
+(* The unroll row recompiles each workload, and the engine caches one
+   program per workload, so these programs are simulated directly. *)
+let unrolled_speedup factor (w : Workload.t) =
+  let options = { Compile.default_options with unroll_factor = factor } in
+  let program = Compile.compile ~options w.Workload.source in
+  Elag_verify.Lint.enforce program;
+  let cycles mech =
+    (fst (Pipeline.simulate (Config.with_mechanism mech Config.default) program))
+      .Pipeline.cycles
+  in
+  float_of_int (cycles Config.No_early) /. float_of_int (cycles dual_cc)
+
+let print_ablation engine =
+  pf "Ablations: dual-path compiler-directed speedup vs design choices\n\n";
+  (* Oracle bound: if every load had zero latency and never missed, how
+     fast could ANY early address-generation scheme possibly be?  The
+     gap between dual-cc and this bound is the paper's headroom. *)
+  let oracle = Config.make ~load_latency:0 ~miss_penalty:0 () in
+  print_row engine "speedup ceiling (zero-latency, never-missing loads)\n " (fun w ->
+      float_of_int (Engine.base_cycles engine w)
+      /. float_of_int (Engine.base_cycles ~config:oracle engine w));
+  pf "\n\n";
+  let rows title label args speedup =
+    pf "%s\n" title;
+    List.iter
+      (fun arg ->
+        print_row engine (label arg) (speedup arg);
+        print_newline ())
+      args
+  in
+  let under with_ v w = Engine.speedup ~config:(with_ v Config.default) engine w dual_cc in
+  rows "issue width (paper: 6)" (Printf.sprintf "  width %d:") [ 2; 4; 6; 8 ]
+    (under Config.with_issue_width);
+  rows "\ncache associativity (paper: direct-mapped)" (Printf.sprintf "  %d-way:")
+    [ 1; 2; 4 ] (under Config.with_cache_ways);
+  rows "\ncache miss penalty (paper: 12 cycles)" (Printf.sprintf "  penalty %2d:")
+    [ 4; 12; 30 ] (under Config.with_miss_penalty);
+  rows "\nunroll factor at compile time (default: 4)" (Printf.sprintf "  unroll %d:")
+    [ 0; 4; 8 ] unrolled_speedup;
+  rows "\ntable size under the dual-path scheme" (Printf.sprintf "  table %4d:")
+    [ 16; 64; 256; 1024 ] (fun entries w ->
+      Engine.speedup engine w
+        (Config.Dual { table_entries = entries; selection = Config.Compiler_directed }))
+
+(* --- Pipeline report: BENCH_pipeline.json ------------------------------- *)
+
+let pipeline_report_file = "BENCH_pipeline.json"
+
+(* One entry per workload: baseline and dual-cc cycle counts, IPC,
+   speedup, and the dual-cc stall-cause breakdown.  The stall columns
+   say not just *that* a workload regressed but *where the cycles
+   went*, which is what makes the artifact diffable across changes. *)
+let write_pipeline_report engine =
+  let workload_row (w : Workload.t) =
+    let program = Engine.program engine w in
+    let cfg mech = Config.with_mechanism mech Config.default in
+    let base, _ = Pipeline.run (cfg Config.No_early) program in
+    let dual, _ = Pipeline.run (cfg dual_cc) program in
+    let bs = Pipeline.stats base and ds = Pipeline.stats dual in
+    let ipc (s : Pipeline.stats) =
+      float_of_int s.Pipeline.instructions /. float_of_int (max 1 s.Pipeline.cycles)
+    in
+    let line =
+      Printf.sprintf "  %-16s base=%8d dual-cc=%8d speedup=%.3f" w.Workload.name
+        bs.Pipeline.cycles ds.Pipeline.cycles
+        (float_of_int bs.Pipeline.cycles /. float_of_int ds.Pipeline.cycles)
+    in
+    let json =
+      Json.Obj
+        [ ("name", Json.String w.Workload.name)
+        ; ("suite", Json.String (Workload.suite_name w.Workload.suite))
+        ; ("instructions", Json.Int ds.Pipeline.instructions)
+        ; ("baseline_cycles", Json.Int bs.Pipeline.cycles)
+        ; ("cycles", Json.Int ds.Pipeline.cycles)
+        ; ("ipc", Json.Float (ipc ds))
+        ; ( "speedup"
+          , Json.Float
+              (float_of_int bs.Pipeline.cycles /. float_of_int (max 1 ds.Pipeline.cycles))
+          )
+        ; ( "stalls"
+          , Json.Obj
+              (("busy", Json.Int (Pipeline.busy_cycles dual))
+              :: List.map
+                   (fun (cause, n) -> (Stall.name cause, Json.Int n))
+                   (Pipeline.stall_breakdown dual)) ) ]
+    in
+    (line, json)
+  in
+  pf "pipeline report (baseline vs %s):\n" (Config.mechanism_name dual_cc);
+  let rows = Engine.map engine workload_row Suite.all in
+  List.iter (fun (line, _) -> print_endline line) rows;
+  let doc =
+    Json.Obj
+      [ ("schema", Json.String "elag.bench.v1")
+      ; ("mechanism", Json.String (Config.mechanism_name dual_cc))
+      ; ("config", Config.to_json (Config.with_mechanism dual_cc Config.default))
+      ; ("workloads", Json.List (List.map snd rows)) ]
+  in
+  let oc = open_out pipeline_report_file in
+  Json.output ~pretty:true oc doc;
+  close_out oc;
+  pf "wrote %s\n" pipeline_report_file

@@ -22,7 +22,6 @@ module Suite = Elag_workloads.Suite
 module Fault = Elag_verify.Fault
 module Lint = Elag_verify.Lint
 module Oracle = Elag_verify.Oracle
-module Json = Elag_telemetry.Json
 
 type entry =
   { workload : string
@@ -118,32 +117,3 @@ let run_oracle_suite
     (fun (w : Workload.t) ->
       (w.Workload.name, Oracle.run cfg (Engine.program engine w)))
     workloads
-
-let report_json ~faults ~lints ~oracles =
-  Json.Obj
-    [ ("schema", Json.String "elag.verify.v1")
-    ; ( "faults"
-      , Json.List
-          (List.map
-             (fun (e, o) ->
-               Json.Obj
-                 [ ("workload", Json.String e.workload)
-                 ; ("mechanism", Json.String e.mechanism)
-                 ; ("outcome", Fault.outcome_to_json o) ])
-             faults) )
-    ; ( "lints"
-      , Json.List
-          (List.map
-             (fun (name, r) ->
-               Json.Obj
-                 [ ("workload", Json.String name)
-                 ; ("report", Lint.to_json r) ])
-             lints) )
-    ; ( "oracles"
-      , Json.List
-          (List.map
-             (fun (name, r) ->
-               Json.Obj
-                 [ ("workload", Json.String name)
-                 ; ("report", Oracle.to_json r) ])
-             oracles) ) ]

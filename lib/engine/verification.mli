@@ -46,10 +46,3 @@ val run_oracle_suite :
   (string * Oracle.report) list
 (** Differential-oracle the full timed simulation of every workload
     (default: the whole suite under [dual-cc]). *)
-
-val report_json :
-  faults:(entry * Fault.outcome) list ->
-  lints:(string * Lint.report) list ->
-  oracles:(string * Oracle.report) list ->
-  Elag_telemetry.Json.t
-(** Stable JSON artifact over the three suites' results. *)

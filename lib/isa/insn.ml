@@ -86,8 +86,6 @@ let defs = function
 let is_load = function Load _ -> true | _ -> false
 let is_store = function Store _ -> true | _ -> false
 
-let is_memory insn = is_load insn || is_store insn
-
 let is_branch = function
   | Branch _ | Jump _ | Jal _ | Jalr _ | Jr _ -> true
   | _ -> false

@@ -63,7 +63,6 @@ val defs : t -> Reg.t list
 
 val is_load : t -> bool
 val is_store : t -> bool
-val is_memory : t -> bool
 val is_branch : t -> bool
 val is_control : t -> bool
 

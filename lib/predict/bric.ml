@@ -71,9 +71,6 @@ let probe t ~cycle reg =
     false
   end
 
-let hit_rate t =
-  if t.probes = 0 then 0. else float_of_int t.hits /. float_of_int t.probes
-
 type stats = { br_probes : int; br_hits : int; br_evictions : int }
 
 let stats t = { br_probes = t.probes; br_hits = t.hits; br_evictions = t.evictions }

@@ -17,8 +17,6 @@ val probe : t -> cycle:int -> int -> bool
 (** Counted probe; allocates on a miss (the new entry's value is
     usable from the next cycle) and refreshes LRU order on a hit. *)
 
-val hit_rate : t -> float
-
 type stats = { br_probes : int; br_hits : int; br_evictions : int }
 
 val stats : t -> stats

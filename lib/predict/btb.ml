@@ -7,7 +7,6 @@ type t =
   { tags : int array  (* -1 = invalid *)
   ; targets : int array
   ; counters : int array  (* 0..3; >=2 predicts taken *)
-  ; mutable lookups : int
   ; mutable mispredictions : int }
 
 type prediction = { pred_taken : bool; pred_target : int }
@@ -17,7 +16,6 @@ let create entries =
   { tags = Array.make entries (-1)
   ; targets = Array.make entries 0
   ; counters = Array.make entries 0
-  ; lookups = 0
   ; mispredictions = 0 }
 
 let index t pc = pc mod Array.length t.tags
@@ -25,7 +23,6 @@ let index t pc = pc mod Array.length t.tags
 (* Predict the outcome of the control instruction at [pc].  A BTB miss
    predicts not-taken (sequential fetch). *)
 let predict t pc =
-  t.lookups <- t.lookups + 1;
   let i = index t pc in
   if t.tags.(i) = pc then
     { pred_taken = t.counters.(i) >= 2; pred_target = t.targets.(i) }

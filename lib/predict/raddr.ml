@@ -9,23 +9,13 @@
 
 type t =
   { mutable bound : int  (* -1 = unbound *)
-  ; mutable valid_from : int
-  ; mutable probes : int
-  ; mutable hits : int }
+  ; mutable valid_from : int }
 
-let create () = { bound = -1; valid_from = 0; probes = 0; hits = 0 }
+let create () = { bound = -1; valid_from = 0 }
 
-(* Pure hit test, for evaluation during issue-cycle search; does not
-   touch statistics. *)
+(* Hit test for base register [reg] at [cycle]: true when R_addr is
+   bound to [reg] and the cached value is usable this cycle. *)
 let peek t ~cycle reg = t.bound = reg && cycle >= t.valid_from
-
-(* Probe for base register [reg] at [cycle]: true when R_addr is bound
-   to [reg] and the cached value is usable this cycle. *)
-let probe t ~cycle reg =
-  t.probes <- t.probes + 1;
-  let hit = peek t ~cycle reg in
-  if hit then t.hits <- t.hits + 1;
-  hit
 
 (* Bind R_addr to [reg] (performed by every ld_e, and by the
    hardware-selection baseline on every early-path load). *)
@@ -34,9 +24,6 @@ let bind t ~cycle reg =
     t.bound <- reg;
     t.valid_from <- cycle + 1
   end
-
-let hit_rate t =
-  if t.probes = 0 then 0. else float_of_int t.hits /. float_of_int t.probes
 
 (* --- fault-injection hooks (lib/verify) ------------------------------ *)
 

@@ -14,13 +14,8 @@ val create : unit -> t
 val peek : t -> cycle:int -> int -> bool
 (** Pure hit test: bound to this register with a usable value. *)
 
-val probe : t -> cycle:int -> int -> bool
-(** Counted {!peek}. *)
-
 val bind : t -> cycle:int -> int -> unit
 (** (Re)bind to a register; switching invalidates until [cycle + 1]. *)
-
-val hit_rate : t -> float
 
 (** {2 Fault-injection hooks} *)
 

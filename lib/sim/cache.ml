@@ -86,7 +86,4 @@ let access_store t addr =
     false
   end
 
-let miss_rate t =
-  if t.accesses = 0 then 0. else float_of_int t.misses /. float_of_int t.accesses
-
 let stats t = (t.accesses, t.misses)

@@ -17,7 +17,5 @@ val access : t -> int -> bool
 val access_store : t -> int -> bool
 (** Store-side access: write-through, no write-allocate. *)
 
-val miss_rate : t -> float
-
 val stats : t -> int * int
 (** (accesses, misses). *)

@@ -26,13 +26,15 @@
    Telemetry: besides the flat {!stats} record the model attributes
    every non-issuing cycle to a {!Elag_telemetry.Stall.t} cause and
    keeps a per-static-load table ({!load_site}) so reproduction gaps
-   can be localized to individual loads.  Load, speculation and
-   load-latency counts are kept only per site; {!stats} and
-   {!load_latency_histogram} sum the sites.  Attribution charges the
-   binding (latest) constraint: operand-readiness cycles go to the
-   cause recorded when the producing register was written (load-use /
-   dcache-miss / raw-dependence), front-end cycles to the event that
-   last pushed [fetch_ready] (icache-miss / btb-mispredict, with
+   can be localized to individual loads.  Each event is counted once,
+   where it happens: load, speculation and load-latency counts per
+   site, cache accesses and misses in {!Cache}, mispredictions in the
+   {!Btb}; {!stats} and {!load_latency_histogram} read them from
+   there.  Attribution charges the binding (latest) constraint:
+   operand-readiness cycles go to the cause recorded when the
+   producing register was written (load-use / dcache-miss /
+   raw-dependence), front-end cycles to the event that last pushed
+   [fetch_ready] (icache-miss / btb-mispredict, with
    startup pipeline fill folded into the former since the first fetch
    is always a cold miss), and cycles spent searching past the operand
    bound for a free data-cache port to port-contention.  The final
@@ -180,7 +182,10 @@ type t =
   ; mutable busy_cycles : int  (* distinct cycles with >= 1 issue *)
   ; stall_cycles : int array   (* indexed by Stall.index *)
   ; mutable drain_cause : Stall.t  (* cause of the latest writeback *)
-  ; stats : stats  (* load fields stay 0: [stats] sums them from [sites] *) }
+  ; stats : stats
+    (* only cycles, instructions and stores are kept here: [stats] sums
+       the load fields from [sites] and reads the cache and BTB fields
+       from the structures that count them *) }
 
 let create (cfg : Config.t) =
   let table =
@@ -490,11 +495,9 @@ let process t pc insn eff taken next_pc =
   let d = lookup_decoded t pc insn in
   s.instructions <- s.instructions + 1;
   (* instruction fetch *)
-  if not (Cache.access t.icache (pc lsl 2)) then begin
-    s.icache_misses <- s.icache_misses + 1;
+  if not (Cache.access t.icache (pc lsl 2)) then
     bump_fetch t (imax t.fetch_ready t.cur_cycle + t.cfg.miss_penalty)
-      Stall.Icache_miss
-  end;
+      Stall.Icache_miss;
   let alu = d.alu and branch = d.branch in
   let sources_ready = ref 0 in
   let sources_cause = ref Stall.Raw_dependence in
@@ -557,16 +560,14 @@ let process t pc insn eff taken next_pc =
     site.site_count <- site.site_count + 1;
     let path = t.sel_path in
     (* commit structure probes/bindings: the decode-stage table probe
-       (counted here, once, at the chosen cycle), or the R_addr/BRIC
-       probe of the calc path *)
+       (counted here, once, at the chosen cycle), or the R_addr binding
+       or BRIC probe of the calc path *)
     (match path with
     | Table_path -> (
       match t.table with Some table -> ignore (Addr_table.probe table pc) | None -> ())
     | Calc_path when d.base >= 0 -> begin
       match (t.raddr, t.bric) with
-      | Some r, _ ->
-        ignore (Raddr.probe r ~cycle:(c - 2) d.base);
-        Raddr.bind r ~cycle:(c - 2) d.base
+      | Some r, _ -> Raddr.bind r ~cycle:(c - 2) d.base
       | None, Some b -> ignore (Bric.probe b ~cycle:(c - 2) d.base)
       | None, None -> ()
     end
@@ -575,17 +576,13 @@ let process t pc insn eff taken next_pc =
     let spec_missed_same_line = ref false in
     if t.ev_dispatched then begin
       book_port t t.ev_access_cycle;
-      s.dcache_accesses <- s.dcache_accesses + 1;
       (* the speculative access touches the cache with its (possibly
          wrong) address; for the table path that is the prediction *)
       let spec_addr = t.ev_addr in
-      let spec_hit = Cache.access t.dcache spec_addr in
-      if not spec_hit then begin
-        s.dcache_misses <- s.dcache_misses + 1;
-        (* a correct-address speculative miss starts the fill early;
-           the normal access below merges with the in-flight fill *)
-        if spec_addr lsr 6 = eff lsr 6 then spec_missed_same_line := true
-      end;
+      (* a correct-address speculative miss starts the fill early; the
+         normal access below merges with the in-flight fill *)
+      if (not (Cache.access t.dcache spec_addr)) && spec_addr lsr 6 = eff lsr 6 then
+        spec_missed_same_line := true;
       (match path with
       | Table_path ->
         site.site_table_attempts <- site.site_table_attempts + 1;
@@ -602,12 +599,8 @@ let process t pc insn eff taken next_pc =
       else begin
         (* normal path: cache access at MEM *)
         book_port t (c + 1);
-        s.dcache_accesses <- s.dcache_accesses + 1;
         let hit = Cache.access t.dcache eff in
-        if not hit then begin
-          s.dcache_misses <- s.dcache_misses + 1;
-          load_missed := true
-        end;
+        if not hit then load_missed := true;
         if hit && !spec_missed_same_line then
           (* merge with the fill the speculative access initiated *)
           t.cfg.load_latency
@@ -629,9 +622,7 @@ let process t pc insn eff taken next_pc =
   if d.is_store then begin
     s.stores <- s.stores + 1;
     book_port t (c + 1);
-    s.dcache_accesses <- s.dcache_accesses + 1;
-    if not (Cache.access_store t.dcache eff) then
-      s.dcache_misses <- s.dcache_misses + 1;
+    ignore (Cache.access_store t.dcache eff);
     (* Bound the window to stores issued at [c - 2] or later.  Issue
        cycles never decrease, so every later speculative probe reads
        at [read_cycle >= c - 1] (table: [c' - 1]; calc:
@@ -646,13 +637,9 @@ let process t pc insn eff taken next_pc =
   (match d.control with
   | Predicted ->
     let correct = Btb.update t.btb pc ~taken ~target:next_pc in
-    if correct then begin
-      if taken then t.fetch_ready <- imax t.fetch_ready (c + 1)
-    end
-    else begin
-      s.btb_mispredicts <- s.btb_mispredicts + 1;
+    if not correct then
       bump_fetch t (c + 1 + t.cfg.mispredict_penalty) Stall.Btb_mispredict
-    end
+    else if taken then t.fetch_ready <- imax t.fetch_ready (c + 1)
   | Direct ->
     (* direct unconditional transfers redirect fetch without penalty
        but end the fetch group *)
@@ -714,7 +701,15 @@ let load_sites t =
     t.sites []
 
 let stats t =
-  let s = { t.stats with loads = 0 } in
+  let _, icache_misses = Cache.stats t.icache in
+  let dcache_accesses, dcache_misses = Cache.stats t.dcache in
+  let s =
+    { t.stats with
+      icache_misses
+    ; dcache_accesses
+    ; dcache_misses
+    ; btb_mispredicts = Btb.misprediction_count t.btb }
+  in
   List.iter
     (fun site ->
       let n = site.site_count in

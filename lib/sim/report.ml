@@ -1,9 +1,8 @@
-(* Machine-readable reports over one pipeline run: JSON document, flat
-   metric registry, and CSV.  All emitters read the same accessors, so
-   the shapes cannot drift apart. *)
+(* Machine-readable reports over one pipeline run: JSON document and
+   CSV.  Both emitters read the same accessors, so the shapes cannot
+   drift apart. *)
 
 module Json = Elag_telemetry.Json
-module Metrics = Elag_telemetry.Metrics
 module Stall = Elag_telemetry.Stall
 module Histogram = Elag_telemetry.Histogram
 module Insn = Elag_isa.Insn
@@ -94,25 +93,32 @@ let to_json ?(meta = []) t =
       ; ("predictors", predictors_json t)
       ; ("load_sites", Json.List (List.map site_json (Pipeline.load_sites t))) ])
 
-let to_metrics t =
-  let s = Pipeline.stats t in
-  let reg = Metrics.create () in
-  let put name v = Metrics.set (Metrics.counter reg name) v in
+(* The integer scalars of the JSON document, one [metric,value] row
+   each, then the aggregate latency histogram's non-empty buckets. *)
+let metric_rows buf t =
+  let row name v = Buffer.add_string buf (Printf.sprintf "%s,%d\n" name v) in
+  Buffer.add_string buf "metric,value\n";
   List.iter
-    (fun (name, v) -> match v with Json.Int n -> put name n | _ -> ())
-    (totals_fields s);
-  put "busy_cycles" (Pipeline.busy_cycles t);
+    (fun (name, v) -> match v with Json.Int n -> row name n | _ -> ())
+    (totals_fields (Pipeline.stats t));
+  row "busy_cycles" (Pipeline.busy_cycles t);
   List.iter
-    (fun (cause, n) -> put ("stall_" ^ Stall.name cause) n)
+    (fun (cause, n) -> row ("stall_" ^ Stall.name cause) n)
     (Pipeline.stall_breakdown t);
-  put "stall_total" (Pipeline.stall_total t);
-  Metrics.attach_histogram reg "load_latency" (Pipeline.load_latency_histogram t);
-  reg
+  row "stall_total" (Pipeline.stall_total t);
+  List.iter
+    (fun (bound, count) ->
+      if count > 0 then
+        row
+          ("load_latency_bucket_le_"
+          ^ match bound with Some b -> string_of_int b | None -> "inf")
+          count)
+    (Histogram.bucket_counts (Pipeline.load_latency_histogram t))
 
 let to_csv ?(meta = []) t =
   let buf = Buffer.create 1024 in
   List.iter (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "# %s,%s\n" k v)) meta;
-  Buffer.add_string buf (Metrics.to_csv (to_metrics t));
+  metric_rows buf t;
   Buffer.add_string buf "\n";
   Buffer.add_string buf
     "pc,spec,count,table_attempts,table_successes,calc_attempts,calc_successes,wasted_spec,dcache_misses,latency_sum\n";

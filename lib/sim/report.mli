@@ -18,11 +18,10 @@ val to_json :
 (** [meta] fields (workload name, run timestamps, …) are embedded
     verbatim under a ["meta"] key when non-empty. *)
 
-val to_metrics : Pipeline.t -> Elag_telemetry.Metrics.t
-(** The same scalars as a metric registry (counters + the aggregate
-    latency histogram), for callers that want CSV or incremental
-    export rather than the nested document. *)
-
 val to_csv : ?meta:(string * string) list -> Pipeline.t -> string
-(** Flat export: a [metric,value] section from {!to_metrics} followed
-    by one CSV row per load site. *)
+(** Flat export: one [# key,value] line per [meta] pair; a
+    [metric,value] section holding the document's integer totals,
+    [busy_cycles], [stall_<cause>], [stall_total] and one
+    [load_latency_bucket_le_<bound>] row per non-empty bucket
+    ([le_inf] for the overflow bucket); then one CSV row per load
+    site. *)

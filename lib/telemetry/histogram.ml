@@ -53,7 +53,6 @@ let merge_into ~into t =
 
 let count t = t.total
 let sum t = t.sum
-let mean t = if t.total = 0 then 0. else float_of_int t.sum /. float_of_int t.total
 let max_seen t = if t.total = 0 then None else Some t.max_seen
 
 let bucket_counts t =

@@ -27,9 +27,6 @@ val count : t -> int
 
 val sum : t -> int
 
-val mean : t -> float
-(** 0.0 when empty. *)
-
 val max_seen : t -> int option
 
 val bucket_counts : t -> (int option * int) list

@@ -165,7 +165,7 @@ let test_bric_allocation_delay () =
 
 let test_raddr_binding () =
   let r = Raddr.create () in
-  check_bool "unbound" false (Raddr.probe r ~cycle:5 9);
+  check_bool "unbound" false (Raddr.peek r ~cycle:5 9);
   Raddr.bind r ~cycle:5 9;
   check_bool "not valid same cycle after switch" false (Raddr.peek r ~cycle:5 9);
   check_bool "valid next cycle" true (Raddr.peek r ~cycle:6 9);

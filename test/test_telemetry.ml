@@ -1,12 +1,11 @@
 (* Telemetry tests: JSON serialization, histogram bucketing and
-   percentiles, the metric registry, the Chrome trace exporter, the
-   pipeline's stall-attribution invariant (busy + Σ stalls = cycles)
-   across workloads × mechanisms, per-load-site accounting, and a
-   golden-file check of the JSON report shape. *)
+   percentiles, the Chrome trace exporter, the pipeline's
+   stall-attribution invariant (busy + Σ stalls = cycles) across
+   workloads × mechanisms, per-load-site accounting, and golden-file
+   checks of the JSON and CSV reports. *)
 
 module Json = Elag_telemetry.Json
 module Histogram = Elag_telemetry.Histogram
-module Metrics = Elag_telemetry.Metrics
 module Stall = Elag_telemetry.Stall
 module Trace = Elag_telemetry.Trace
 module Pipeline = Elag_sim.Pipeline
@@ -18,6 +17,7 @@ module Layout = Elag_isa.Layout
 module Program = Elag_isa.Program
 module Suite = Elag_workloads.Suite
 module Engine = Elag_engine.Engine
+module Gen = Elag_fuzz.Gen
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -118,30 +118,6 @@ let test_histogram_percentiles () =
   check_bool "empty has no percentile" true
     (Histogram.percentile (Histogram.create ~bounds:[| 1 |]) 50. = None)
 
-(* --- metric registry ------------------------------------------------------- *)
-
-let test_metrics_registry () =
-  let reg = Metrics.create () in
-  let c = Metrics.counter reg "cycles" in
-  Metrics.incr c;
-  Metrics.incr ~by:41 c;
-  check "counter value" 42 (Metrics.value c);
-  check_bool "same name, same counter" true (Metrics.counter reg "cycles" == c);
-  let h = Histogram.create ~bounds:[| 1; 2 |] in
-  Metrics.attach_histogram reg "lat" h;
-  Histogram.observe h 1;
-  Histogram.observe h 5;
-  let csv = Metrics.to_csv reg in
-  check_bool "csv has counter row" true
-    (List.mem "cycles,42" (String.split_on_char '\n' csv));
-  check_bool "csv has overflow bucket row" true
-    (List.mem "lat_bucket_le_inf,1" (String.split_on_char '\n' csv));
-  check_bool "name collision rejected" true
-    (try
-       ignore (Metrics.counter reg "lat");
-       false
-     with Invalid_argument _ -> true)
-
 (* --- trace exporter -------------------------------------------------------- *)
 
 let test_trace_events () =
@@ -182,25 +158,48 @@ let engine = lazy (Engine.create ~jobs:1 ())
 
 let program_of name = Engine.program (Lazy.force engine) (Suite.find name)
 
-let test_stall_invariant () =
+(* Seeded random EPA-32 programs, each run within its own instruction
+   budget and checked under every preset. *)
+let fuzzed =
+  lazy
+    (List.init 50 (fun seed ->
+         let g = Gen.program seed in
+         (Printf.sprintf "gen seed %d" seed, g.Gen.program, Some g.Gen.budget)))
+
+(* (label, program, budget, mechanisms): the workload panel under
+   [mechanisms], then every fuzzed program under every preset. *)
+let invariant_inputs mechanisms =
+  List.map (fun name -> (name, program_of name, None, mechanisms)) invariant_panel
+  @ List.map
+      (fun (label, program, budget) -> (label, program, budget, Config.Mechanism.all))
+      (Lazy.force fuzzed)
+
+let for_each_input mechanisms f =
   List.iter
-    (fun name ->
-      let program = program_of name in
+    (fun (name, program, max_insns, mechanisms) ->
       List.iter
         (fun mech ->
-          let cfg = Config.with_mechanism mech Config.default in
-          let t, _ = Pipeline.run cfg program in
-          let s = Pipeline.stats t in
-          let label = name ^ "/" ^ Config.mechanism_name mech in
-          check (label ^ ": busy + stalls = cycles") s.Pipeline.cycles
-            (Pipeline.busy_cycles t + Pipeline.stall_total t);
-          List.iter
-            (fun (cause, n) ->
-              check_bool (label ^ ": " ^ Stall.name cause ^ " non-negative") true
-                (n >= 0))
-            (Pipeline.stall_breakdown t))
-        invariant_mechanisms)
-    invariant_panel
+          f (name ^ "/" ^ Config.Mechanism.to_string mech)
+            (Config.with_mechanism mech Config.default) program max_insns)
+        mechanisms)
+    (invariant_inputs mechanisms)
+
+(* Theorems of the model: every cycle is either busy or charged to one
+   cause, no cause is charged negatively, and no cycle issues more than
+   [issue_width] instructions. *)
+let test_stall_invariant () =
+  for_each_input invariant_mechanisms (fun label cfg program max_insns ->
+      let t, _ = Pipeline.run ?max_insns cfg program in
+      let s = Pipeline.stats t in
+      check (label ^ ": busy + stalls = cycles") s.Pipeline.cycles
+        (Pipeline.busy_cycles t + Pipeline.stall_total t);
+      List.iter
+        (fun (cause, n) ->
+          check_bool (label ^ ": " ^ Stall.name cause ^ " non-negative") true (n >= 0))
+        (Pipeline.stall_breakdown t);
+      let width = cfg.Config.issue_width in
+      check_bool (label ^ ": busy >= ceil (instructions / issue width)") true
+        (Pipeline.busy_cycles t >= (s.Pipeline.instructions + width - 1) / width))
 
 let test_load_sites_account () =
   let program = program_of "PGP Encode" in
@@ -227,39 +226,32 @@ let test_load_sites_account () =
   check "pcs unique" (List.length pcs)
     (List.length (List.sort_uniq compare pcs))
 
-(* The flat record's load counters are sums over the sites.  Check
-   those sums against values kept apart from them: the global
-   dcache-access counter, and a spec count taken by a second observer
-   on the same retire stream. *)
+(* The flat record's counters are derived: load counters sum the
+   sites, and cache accesses come from the data cache itself.  Check
+   them against each other and against a spec count taken by a second
+   observer on the same retire stream. *)
 let test_derived_load_counters () =
-  List.iter
-    (fun name ->
-      let program = program_of name in
-      List.iter
-        (fun mech ->
-          let label = name ^ "/" ^ Config.Mechanism.to_string mech in
-          let t = Pipeline.create (Config.with_mechanism mech Config.default) in
-          let by_spec = Array.make 3 0 in
-          let spec_index = function Insn.Ld_n -> 0 | Insn.Ld_p -> 1 | Insn.Ld_e -> 2 in
-          let observer pc insn eff taken next_pc =
-            (match insn with
-            | Insn.Load { spec; _ } ->
-              let i = spec_index spec in
-              by_spec.(i) <- by_spec.(i) + 1
-            | _ -> ());
-            Pipeline.process t pc insn eff taken next_pc
-          in
-          ignore (Elag_sim.Emulator.run_program ~observer program);
-          let s = Pipeline.stats t in
-          check (label ^ ": dcache accesses = stores + attempts + unforwarded loads")
-            s.Pipeline.dcache_accesses
-            (s.Pipeline.stores + s.Pipeline.table_attempts + s.Pipeline.calc_attempts
-           + s.Pipeline.loads - s.Pipeline.table_successes - s.Pipeline.calc_successes);
-          check (label ^ ": loads_n") by_spec.(0) s.Pipeline.loads_n;
-          check (label ^ ": loads_p") by_spec.(1) s.Pipeline.loads_p;
-          check (label ^ ": loads_e") by_spec.(2) s.Pipeline.loads_e)
-        Config.Mechanism.all)
-    invariant_panel
+  for_each_input Config.Mechanism.all (fun label cfg program max_insns ->
+      let t = Pipeline.create cfg in
+      let by_spec = Array.make 3 0 in
+      let spec_index = function Insn.Ld_n -> 0 | Insn.Ld_p -> 1 | Insn.Ld_e -> 2 in
+      let observer pc insn eff taken next_pc =
+        (match insn with
+        | Insn.Load { spec; _ } ->
+          let i = spec_index spec in
+          by_spec.(i) <- by_spec.(i) + 1
+        | _ -> ());
+        Pipeline.process t pc insn eff taken next_pc
+      in
+      ignore (Elag_sim.Emulator.run_program ~observer ?max_insns program);
+      let s = Pipeline.stats t in
+      check (label ^ ": dcache accesses = stores + attempts + unforwarded loads")
+        s.Pipeline.dcache_accesses
+        (s.Pipeline.stores + s.Pipeline.table_attempts + s.Pipeline.calc_attempts
+       + s.Pipeline.loads - s.Pipeline.table_successes - s.Pipeline.calc_successes);
+      check (label ^ ": loads_n") by_spec.(0) s.Pipeline.loads_n;
+      check (label ^ ": loads_p") by_spec.(1) s.Pipeline.loads_p;
+      check (label ^ ": loads_e") by_spec.(2) s.Pipeline.loads_e)
 
 (* --- BRIC stats ------------------------------------------------------------ *)
 
@@ -324,12 +316,24 @@ let golden_report () =
 
 let test_golden_report () = Golden.check ~file:"golden_report.json" (golden_report ())
 
+(* The CSV export of the golden kernel: metric rows, the latency
+   histogram's non-empty buckets and the per-site table.  A miss penalty
+   past the last bucket bound puts the missing loads in the overflow
+   bucket, so its row is pinned too. *)
+let test_golden_csv () =
+  let cfg =
+    Config.with_mechanism
+      (Config.Dual { table_entries = 64; selection = Config.Compiler_directed })
+      (Config.with_miss_penalty 80 Config.default)
+  in
+  let t, _ = Pipeline.run cfg (golden_program ()) in
+  Golden.check ~file:"golden_report.csv" (Report.to_csv ~meta:[ ("workload", "golden") ] t)
+
 let suite =
   [ Alcotest.test_case "json: printing" `Quick test_json_printing
   ; Alcotest.test_case "json: parse roundtrip" `Quick test_json_parse_roundtrip
   ; Alcotest.test_case "histogram: bucketing" `Quick test_histogram_bucketing
   ; Alcotest.test_case "histogram: percentiles" `Quick test_histogram_percentiles
-  ; Alcotest.test_case "metrics: registry" `Quick test_metrics_registry
   ; Alcotest.test_case "trace: events" `Quick test_trace_events
   ; Alcotest.test_case "stall: names" `Quick test_stall_names_roundtrip
   ; Alcotest.test_case "pipeline: stall invariant" `Quick test_stall_invariant
@@ -338,4 +342,5 @@ let suite =
       test_derived_load_counters
   ; Alcotest.test_case "bric: stats" `Quick test_bric_stats
   ; Alcotest.test_case "bric: surfaced" `Quick test_bric_stats_surfaced
-  ; Alcotest.test_case "report: golden file" `Quick test_golden_report ]
+  ; Alcotest.test_case "report: golden file" `Quick test_golden_report
+  ; Alcotest.test_case "report: golden csv" `Quick test_golden_csv ]
