@@ -11,9 +11,8 @@
 module Ir = Elag_ir.Ir
 module Cfg = Elag_ir.Cfg
 module Liveness = Elag_ir.Liveness
+module Bitset = Elag_ir.Bitset
 module Reg = Elag_isa.Reg
-
-module VS = Elag_ir.Liveness.VS
 
 type location =
   | In_reg of Reg.t
@@ -53,10 +52,10 @@ let build_intervals (f : Ir.func) =
      instruction). *)
   List.iter (fun p -> touch p (-1)) f.Ir.params;
   let pos = ref 0 in
-  List.iter
-    (fun (b : Ir.block) ->
+  List.iteri
+    (fun i (b : Ir.block) ->
       let block_start = !pos in
-      VS.iter (fun v -> touch v block_start) (Liveness.live_in live b.Ir.label);
+      Bitset.iter (fun v -> touch v block_start) (Liveness.live_in live i);
       List.iter
         (fun inst ->
           List.iter (fun v -> touch v !pos) (Ir.inst_uses inst);
@@ -66,7 +65,7 @@ let build_intervals (f : Ir.func) =
         b.Ir.insts;
       List.iter (fun v -> touch v !pos) (Ir.term_uses b.Ir.term);
       let block_end = !pos in
-      VS.iter (fun v -> touch v block_end) (Liveness.live_out live b.Ir.label);
+      Bitset.iter (fun v -> touch v block_end) (Liveness.live_out live i);
       incr pos)
     f.Ir.blocks;
   let call_positions = List.sort compare !calls in

@@ -175,52 +175,41 @@ let apply_decision (f : Ir.func) (decision : decision) =
           b.Ir.insts)
     f.Ir.blocks
 
-let loads_of_blocks cfg labels =
+let loads_of_blocks cfg indices =
   List.concat_map
-    (fun label ->
-      List.filter
-        (function Ir.Load _ -> true | _ -> false)
-        (Cfg.block cfg label).Ir.insts)
-    labels
+    (fun i ->
+      List.filter (function Ir.Load _ -> true | _ -> false) (Cfg.block cfg i).Ir.insts)
+    indices
 
 let run_func ?summaries (f : Ir.func) =
   let cfg = Cfg.of_func f in
   let dom = Dominators.compute cfg in
   let loops = Loops.compute cfg dom in
   (* innermost loop per block: first match in the inner-first list *)
-  let innermost label = Loops.innermost_containing loops label in
-  let reachable_labels =
-    List.filter_map
-      (fun (b : Ir.block) -> if Cfg.reachable cfg b.Ir.label then Some b.Ir.label else None)
-      f.Ir.blocks
-  in
+  let innermost = Array.init (Cfg.length cfg) (Loops.innermost_containing loops) in
+  let reachable = List.filter (Cfg.reachable cfg) (List.init (Cfg.length cfg) Fun.id) in
   let decisions = ref [] in
   (* Cyclic: per loop, inner-first.  A loop's own region is the set of
      its blocks whose innermost loop it is. *)
   List.iter
     (fun (loop : Loops.loop) ->
-      let region_labels =
+      let region =
         List.filter
-          (fun label ->
-            Loops.mem loop label
-            && (match innermost label with
-               | Some l -> l.Loops.header = loop.Loops.header
-               | None -> false))
-          reachable_labels
+          (fun i ->
+            match innermost.(i) with
+            | Some l -> l.Loops.header = loop.Loops.header
+            | None -> false)
+          reachable
       in
-      let body_labels = List.filter (Loops.mem loop) reachable_labels in
-      let body_insts =
-        List.concat_map (fun l -> (Cfg.block cfg l).Ir.insts) body_labels
-      in
+      let body = List.filter (Loops.mem loop) reachable in
+      let body_insts = List.concat_map (fun i -> (Cfg.block cfg i).Ir.insts) body in
       let s_load = s_load_of_insts ?summaries body_insts in
-      let region_loads = loads_of_blocks cfg region_labels in
+      let region_loads = loads_of_blocks cfg region in
       decisions := decide_cyclic ~s_load region_loads @ !decisions)
     loops;
   (* Acyclic: blocks in no loop. *)
-  let acyclic_labels =
-    List.filter (fun label -> innermost label = None) reachable_labels
-  in
-  let acyclic_loads = loads_of_blocks cfg acyclic_labels in
+  let acyclic = List.filter (fun i -> Option.is_none innermost.(i)) reachable in
+  let acyclic_loads = loads_of_blocks cfg acyclic in
   decisions := decide_acyclic acyclic_loads @ !decisions;
   apply_decision f !decisions
 

@@ -1,54 +1,43 @@
 (* Immediate dominators via the Cooper–Harvey–Kennedy iterative
-   algorithm over the reverse-postorder numbering in {!Cfg}. *)
+   algorithm, over block indices and reverse-postorder numbers from
+   {!Cfg}. *)
 
-module SM = Cfg.SM
-
-type t =
-  { idom : string SM.t  (* entry maps to itself *)
-  ; cfg : Cfg.t }
+type t = { idom : int array (* the entry is its own; -1 when unreachable *) }
 
 let compute (cfg : Cfg.t) =
-  let entry = (Ir.entry_block cfg.func).label in
-  let index l = SM.find l cfg.rpo_index in
-  let idom = ref (SM.singleton entry entry) in
-  let intersect b1 b2 =
-    let rec go f1 f2 =
-      if f1 = f2 then f1
-      else if index f1 > index f2 then go (SM.find f1 !idom) f2
-      else go f1 (SM.find f2 !idom)
-    in
-    go b1 b2
+  let idom = Array.make (Cfg.length cfg) (-1) in
+  idom.(0) <- 0;
+  let number = Cfg.rpo_number cfg in
+  let rec intersect b1 b2 =
+    if b1 = b2 then b1
+    else if number b1 > number b2 then intersect idom.(b1) b2
+    else intersect b1 idom.(b2)
   in
+  let rpo = Cfg.rpo cfg in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun label ->
-        if label <> entry then begin
-          let processed_preds =
-            List.filter
-              (fun p -> SM.mem p !idom && Cfg.reachable cfg p)
-              (Cfg.preds cfg label)
-          in
-          match processed_preds with
-          | [] -> ()
-          | first :: rest ->
-            let new_idom = List.fold_left intersect first rest in
-            if SM.find_opt label !idom <> Some new_idom then begin
-              idom := SM.add label new_idom !idom;
-              changed := true
-            end
-        end)
-      cfg.rpo
+    for k = 1 to Array.length rpo - 1 do
+      let b = rpo.(k) in
+      (* Intersect the predecessors processed so far; unreachable ones
+         never are. *)
+      let new_idom =
+        List.fold_left
+          (fun acc p ->
+            if idom.(p) < 0 then acc else if acc < 0 then p else intersect p acc)
+          (-1) (Cfg.preds cfg b)
+      in
+      if new_idom >= 0 && idom.(b) <> new_idom then begin
+        idom.(b) <- new_idom;
+        changed := true
+      end
+    done
   done;
-  { idom = !idom; cfg }
+  { idom }
 
-let idom t label = SM.find_opt label t.idom
+let idom t i = if t.idom.(i) < 0 then None else Some t.idom.(i)
 
-(* [dominates t a b]: does [a] dominate [b]?  Walks the idom chain. *)
+(* Walks the idom chain from [b] up to the entry. *)
 let dominates t a b =
-  let entry = (Ir.entry_block t.cfg.func).label in
-  let rec go b = if a = b then true else if b = entry then false
-    else match idom t b with Some p when p <> b -> go p | _ -> false
-  in
+  let rec go b = a = b || (b <> 0 && t.idom.(b) >= 0 && go t.idom.(b)) in
   go b

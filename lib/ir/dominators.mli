@@ -1,16 +1,15 @@
 (** Immediate dominators, via the Cooper–Harvey–Kennedy iterative
-    algorithm over the reverse-postorder numbering in {!Cfg}. *)
+    algorithm over an [int] array indexed like {!Cfg} blocks. *)
 
-module SM : Map.S with type key = string
-
-type t =
-  { idom : string SM.t  (** the entry block maps to itself *)
-  ; cfg : Cfg.t }
+type t
 
 val compute : Cfg.t -> t
 
-val idom : t -> string -> string option
-(** Immediate dominator of a (reachable) block. *)
+val idom : t -> int -> int option
+(** Immediate dominator of a reachable block; the entry block is its
+    own.  [None] for an unreachable block. *)
 
-val dominates : t -> string -> string -> bool
-(** [dominates t a b]: does [a] dominate [b]?  Reflexive. *)
+val dominates : t -> int -> int -> bool
+(** [dominates t a b]: does block [a] dominate block [b]?  Reflexive,
+    also for unreachable blocks; otherwise [false] when either is
+    unreachable. *)

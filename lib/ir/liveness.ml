@@ -1,62 +1,60 @@
 (* Per-block virtual-register liveness by backwards iterative
-   dataflow.  Used by dead-code elimination and the register
-   allocator's interval construction. *)
-
-module VS = Set.Make (Int)
-module SM = Map.Make (String)
+   dataflow over bitsets.  Used by dead-code elimination, LICM and the
+   register allocator's interval construction. *)
 
 type t =
-  { live_in : VS.t SM.t
-  ; live_out : VS.t SM.t }
+  { live_in : Bitset.t array
+  ; live_out : Bitset.t array }
 
-let block_use_def (b : Ir.block) =
+let block_use_def (f : Ir.func) (b : Ir.block) =
   (* use = vregs read before any write in the block *)
-  let use = ref VS.empty and def = ref VS.empty in
-  let read v = if not (VS.mem v !def) then use := VS.add v !use in
+  let use = Bitset.create f.next_vreg and def = Bitset.create f.next_vreg in
+  let check v =
+    if v < 0 || v >= f.next_vreg then
+      invalid_arg
+        (Printf.sprintf "Liveness.compute: %s: v%d is beyond next_vreg %d" f.name v
+           f.next_vreg)
+  in
+  let read v =
+    check v;
+    if not (Bitset.mem def v) then Bitset.add use v
+  in
   List.iter
     (fun inst ->
       List.iter read (Ir.inst_uses inst);
-      List.iter (fun v -> def := VS.add v !def) (Ir.inst_defs inst))
+      List.iter
+        (fun v ->
+          check v;
+          Bitset.add def v)
+        (Ir.inst_defs inst))
     b.insts;
   List.iter read (Ir.term_uses b.term);
-  (!use, !def)
+  (use, def)
 
 let compute (cfg : Cfg.t) =
-  let use_def =
-    List.fold_left
-      (fun m (b : Ir.block) -> SM.add b.label (block_use_def b) m)
-      SM.empty cfg.func.blocks
-  in
-  let live_in = ref SM.empty and live_out = ref SM.empty in
-  List.iter
-    (fun (b : Ir.block) ->
-      live_in := SM.add b.label VS.empty !live_in;
-      live_out := SM.add b.label VS.empty !live_out)
-    cfg.func.blocks;
+  let f = Cfg.func cfg in
+  let n = Cfg.length cfg in
+  let live_in = Array.init n (fun _ -> Bitset.create f.next_vreg) in
+  let live_out = Array.init n (fun _ -> Bitset.create f.next_vreg) in
+  let rpo = Cfg.rpo cfg in
+  let use_def = Array.map (fun i -> block_use_def f (Cfg.block cfg i)) rpo in
+  (* Sets only grow from empty, so [out] accumulates its successors'
+     [in] sets in place.  Iterate in reverse RPO for fast
+     convergence. *)
   let changed = ref true in
   while !changed do
     changed := false;
-    (* Iterate in reverse RPO for fast convergence. *)
-    List.iter
-      (fun label ->
-        let out =
-          List.fold_left
-            (fun acc s -> VS.union acc (SM.find s !live_in))
-            VS.empty (Cfg.succs cfg label)
-        in
-        let use, def = SM.find label use_def in
-        let inn = VS.union use (VS.diff out def) in
-        if not (VS.equal out (SM.find label !live_out)) then begin
-          live_out := SM.add label out !live_out;
-          changed := true
-        end;
-        if not (VS.equal inn (SM.find label !live_in)) then begin
-          live_in := SM.add label inn !live_in;
-          changed := true
-        end)
-      (List.rev cfg.rpo)
+    for k = Array.length rpo - 1 downto 0 do
+      let i = rpo.(k) in
+      let out = live_out.(i) in
+      List.iter
+        (fun s -> if Bitset.union_into live_in.(s) ~into:out then changed := true)
+        (Cfg.succs cfg i);
+      let use, def = use_def.(k) in
+      if Bitset.flow ~use ~def ~out ~into:live_in.(i) then changed := true
+    done
   done;
-  { live_in = !live_in; live_out = !live_out }
+  { live_in; live_out }
 
-let live_in t label = SM.find label t.live_in
-let live_out t label = SM.find label t.live_out
+let live_in t i = t.live_in.(i)
+let live_out t i = t.live_out.(i)

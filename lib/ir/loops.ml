@@ -3,75 +3,82 @@
    inner-first order, which is the order the paper's cyclic heuristic
    processes them in (Section 4.1). *)
 
-module SS = Cfg.SS
-module SM = Cfg.SM
-
 type loop =
-  { header : string
-  ; body : SS.t       (* block labels, header included *)
-  ; depth : int       (* 1 = outermost *)
-  ; back_edges : string list  (* latch blocks *) }
+  { cfg : Cfg.t
+  ; header : int
+  ; body : int array     (* header included, in label order *)
+  ; members : Bitset.t
+  ; depth : int          (* 1 = outermost *)
+  ; back_edges : int list  (* latch blocks *) }
 
 type t = loop list  (* inner-first (deepest first) *)
 
-let natural_loop cfg ~header ~latch =
-  let body = ref (SS.singleton header) in
-  let rec pull label =
-    if not (SS.mem label !body) then begin
-      body := SS.add label !body;
-      List.iter pull (Cfg.preds cfg label)
+let by_label cfg a b = String.compare (Cfg.label cfg a) (Cfg.label cfg b)
+
+(* Blocks reaching [latch] without passing through the header, added
+   to [members]. *)
+let natural_loop cfg members ~latch =
+  let rec pull i =
+    if not (Bitset.mem members i) then begin
+      Bitset.add members i;
+      List.iter pull (Cfg.preds cfg i)
     end
   in
-  pull latch;
-  !body
+  pull latch
 
 let compute (cfg : Cfg.t) (dom : Dominators.t) : t =
-  (* Find back edges among reachable blocks. *)
-  let back_edges =
-    List.concat_map
-      (fun (b : Ir.block) ->
-        if not (Cfg.reachable cfg b.label) then []
-        else
-          List.filter_map
-            (fun succ ->
-              if Dominators.dominates dom succ b.label then Some (succ, b.label)
-              else None)
-            (Cfg.succs cfg b.label))
-      cfg.func.blocks
-  in
-  (* Merge back edges sharing a header into one loop. *)
-  let by_header =
-    List.fold_left
-      (fun m (header, latch) ->
-        let existing = Option.value (SM.find_opt header m) ~default:[] in
-        SM.add header (latch :: existing) m)
-      SM.empty back_edges
-  in
-  let loops =
-    SM.fold
-      (fun header latches acc ->
-        let body =
-          List.fold_left
-            (fun acc latch -> SS.union acc (natural_loop cfg ~header ~latch))
-            SS.empty latches
-        in
-        { header; body; depth = 0; back_edges = latches } :: acc)
-      by_header []
+  let n = Cfg.length cfg in
+  (* Latches per header, latest back edge first. *)
+  let latches = Array.make n [] in
+  for b = 0 to n - 1 do
+    if Cfg.reachable cfg b then
+      List.iter
+        (fun h -> if Dominators.dominates dom h b then latches.(h) <- b :: latches.(h))
+        (Cfg.succs cfg b)
+  done;
+  (* One loop per header, in descending label order. *)
+  let headers = List.filter (fun h -> latches.(h) <> []) (List.init n Fun.id) in
+  let headers = List.sort (fun a b -> by_label cfg b a) headers in
+  let bodies =
+    List.map
+      (fun header ->
+        let members = Bitset.create n in
+        Bitset.add members header;
+        List.iter (fun latch -> natural_loop cfg members ~latch) latches.(header);
+        (header, members))
+      headers
   in
   (* Depth = number of loops containing this loop's header (itself
      included). *)
-  let with_depth =
+  let loops =
     List.map
-      (fun l ->
+      (fun (header, members) ->
         let depth =
-          List.length (List.filter (fun l' -> SS.mem l.header l'.body) loops)
+          List.length (List.filter (fun (_, m) -> Bitset.mem m header) bodies)
         in
-        { l with depth })
-      loops
+        let body = Array.of_list (Bitset.elements members) in
+        Array.sort (by_label cfg) body;
+        { cfg; header; body; members; depth; back_edges = latches.(header) })
+      bodies
   in
-  List.sort (fun a b -> compare b.depth a.depth) with_depth
+  List.stable_sort (fun a b -> compare b.depth a.depth) loops
 
-let innermost_containing (loops : t) label =
-  List.find_opt (fun l -> SS.mem label l.body) loops
+let innermost_containing (loops : t) i =
+  List.find_opt (fun l -> Bitset.mem l.members i) loops
 
-let mem loop label = SS.mem label loop.body
+let mem loop i = Bitset.mem loop.members i
+
+let rebase cfg loop =
+  let find i =
+    match Cfg.index_opt cfg (Cfg.label loop.cfg i) with
+    | Some j when Cfg.reachable cfg j -> j
+    | _ -> raise Exit
+  in
+  match Array.map find loop.body with
+  | exception Exit -> None
+  | body ->
+    let members = Bitset.create (Cfg.length cfg) in
+    Array.iter (Bitset.add members) body;
+    Some
+      { cfg; header = find loop.header; body; members; depth = loop.depth
+      ; back_edges = List.map find loop.back_edges }

@@ -26,31 +26,29 @@ module Ir = Elag_ir.Ir
 module Cfg = Elag_ir.Cfg
 module Dominators = Elag_ir.Dominators
 module Loops = Elag_ir.Loops
-module Liveness = Elag_ir.Liveness
-
-module SS = Loops.SS
 
 (* Basic induction variables, reusing the detector from
    {!Strength_reduce}. *)
 let find_ivs = Strength_reduce.find_basic_ivs
 
-let loop_def_set (cfg : Cfg.t) (loop : Loops.loop) =
+let loop_def_set (loop : Loops.loop) =
   let tbl = Hashtbl.create 32 in
-  SS.iter
-    (fun label ->
+  Array.iter
+    (fun i ->
       List.iter
         (fun inst -> List.iter (fun d -> Hashtbl.replace tbl d ()) (Ir.inst_defs inst))
-        (Cfg.block cfg label).Ir.insts)
+        (Cfg.block loop.Loops.cfg i).Ir.insts)
     loop.Loops.body;
   tbl
 
 let run_loop (f : Ir.func) (loop : Loops.loop) =
   let cfg = Cfg.of_func f in
-  if not (SS.for_all (Cfg.reachable cfg) loop.Loops.body) then false
-  else begin
+  match Loops.rebase cfg loop with
+  | None -> false
+  | Some loop ->
     let dom = Dominators.compute cfg in
-    let ivs = find_ivs cfg dom loop in
-    let defs_in_loop = loop_def_set cfg loop in
+    let ivs = find_ivs dom loop in
+    let defs_in_loop = loop_def_set loop in
     let invariant v = not (Hashtbl.mem defs_in_loop v) in
     let iv_of x =
       List.find_opt (fun (iv : Strength_reduce.basic_iv) -> iv.iv = x) ivs
@@ -81,9 +79,9 @@ let run_loop (f : Ir.func) (loop : Loops.loop) =
       end
       | addr -> addr
     in
-    SS.iter
-      (fun label ->
-        let blk = Cfg.block cfg label in
+    Array.iter
+      (fun i ->
+        let blk = Cfg.block cfg i in
         blk.Ir.insts <-
           List.map
             (fun inst ->
@@ -93,13 +91,16 @@ let run_loop (f : Ir.func) (loop : Loops.loop) =
               | other -> other)
             blk.Ir.insts)
       loop.Loops.body;
-    (* Phase 2: materialize preheader inits and post-update bumps. *)
+    (* Phase 2: materialize preheader inits and post-update bumps.  The
+       first init makes the preheader, which every later one would find
+       again. *)
+    let preheader = lazy (Licm.make_preheader f loop) in
     List.iter
       (fun (p, b, (iv : Strength_reduce.basic_iv)) ->
-        let pre = Licm.make_preheader f (Cfg.of_func f) loop in
+        let pre = Lazy.force preheader in
         pre.Ir.insts <-
           pre.Ir.insts @ [ Ir.Bin (Ir.Add, p, Ir.Reg b, Ir.Reg iv.Strength_reduce.iv) ];
-        let upd_block = Ir.find_block f iv.Strength_reduce.update_block in
+        let upd_block = Cfg.block cfg iv.Strength_reduce.update_block in
         let bump = Ir.Bin (Ir.Add, p, Ir.Reg p, Ir.Imm iv.Strength_reduce.step) in
         let rec insert_after = function
           | [] ->
@@ -111,7 +112,6 @@ let run_loop (f : Ir.func) (loop : Loops.loop) =
         upd_block.Ir.insts <- insert_after upd_block.Ir.insts)
       !pending;
     !changed
-  end
 
 let run (f : Ir.func) =
   let cfg = Cfg.of_func f in

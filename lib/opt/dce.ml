@@ -4,34 +4,30 @@
 
 module Ir = Elag_ir.Ir
 module Cfg = Elag_ir.Cfg
-module Dominators = Elag_ir.Dominators
-module Loops = Elag_ir.Loops
 module Liveness = Elag_ir.Liveness
-
-module VS = Liveness.VS
+module Bitset = Elag_ir.Bitset
 
 (* Kill dead induction cycles: a register whose every use occurs in
    instructions that only define it (e.g. [v = v + 4] with no other
    use) keeps itself alive under plain liveness; remove those
    instructions explicitly. *)
 let kill_self_cycles (f : Ir.func) =
-  let self_uses = Hashtbl.create 16 in
-  let other_uses = Hashtbl.create 16 in
-  let bump tbl v = Hashtbl.replace tbl v (1 + Option.value (Hashtbl.find_opt tbl v) ~default:0) in
+  let self_uses = Bitset.create f.Ir.next_vreg in
+  let other_uses = Bitset.create f.Ir.next_vreg in
   List.iter
     (fun (b : Ir.block) ->
       List.iter
         (fun inst ->
           let defs = Ir.inst_defs inst in
           List.iter
-            (fun u -> if List.mem u defs then bump self_uses u else bump other_uses u)
+            (fun u -> Bitset.add (if List.mem u defs then self_uses else other_uses) u)
             (Ir.inst_uses inst))
         b.Ir.insts;
-      List.iter (fun u -> bump other_uses u) (Ir.term_uses b.Ir.term))
+      List.iter (Bitset.add other_uses) (Ir.term_uses b.Ir.term))
     f.Ir.blocks;
   let dead v =
-    Hashtbl.mem self_uses v
-    && not (Hashtbl.mem other_uses v)
+    Bitset.mem self_uses v
+    && not (Bitset.mem other_uses v)
     && not (List.mem v f.Ir.params)
   in
   let changed = ref false in
@@ -54,11 +50,11 @@ let run (f : Ir.func) =
   let cfg = Cfg.of_func f in
   let live = Liveness.compute cfg in
   let changed = ref false in
-  List.iter
-    (fun (b : Ir.block) ->
-      let live_set = ref (Liveness.live_out live b.label) in
+  List.iteri
+    (fun i (b : Ir.block) ->
+      let live_set = Bitset.copy (Liveness.live_out live i) in
       (* also live: uses of the terminator *)
-      List.iter (fun v -> live_set := VS.add v !live_set) (Ir.term_uses b.term);
+      List.iter (Bitset.add live_set) (Ir.term_uses b.term);
       let kept =
         List.fold_left
           (fun acc inst ->
@@ -66,15 +62,15 @@ let run (f : Ir.func) =
             let dead =
               (not (Ir.has_side_effect inst))
               && defs <> []
-              && List.for_all (fun d -> not (VS.mem d !live_set)) defs
+              && List.for_all (fun d -> not (Bitset.mem live_set d)) defs
             in
             if dead then begin
               changed := true;
               acc
             end
             else begin
-              List.iter (fun d -> live_set := VS.remove d !live_set) defs;
-              List.iter (fun u -> live_set := VS.add u !live_set) (Ir.inst_uses inst);
+              List.iter (Bitset.remove live_set) defs;
+              List.iter (Bitset.add live_set) (Ir.inst_uses inst);
               inst :: acc
             end)
           []

@@ -17,33 +17,35 @@ module Cfg = Elag_ir.Cfg
 module Dominators = Elag_ir.Dominators
 module Loops = Elag_ir.Loops
 module Liveness = Elag_ir.Liveness
+module Bitset = Elag_ir.Bitset
 
-module SS = Loops.SS
-module VS = Liveness.VS
-
-(* Create (or reuse) a preheader for [loop]: a block that becomes the
-   unique non-latch predecessor of the header. *)
-let ensure_preheader (_f : Ir.func) (cfg : Cfg.t) (loop : Loops.loop) =
-  let outside_preds =
-    List.filter (fun p -> not (SS.mem p loop.Loops.body)) (Cfg.preds cfg loop.Loops.header)
-  in
-  match outside_preds with
+(* Reuse the header's single outside predecessor as the preheader when
+   it unconditionally jumps to the header. *)
+let existing_preheader (loop : Loops.loop) =
+  let cfg = loop.Loops.cfg in
+  match List.filter (fun p -> not (Loops.mem loop p)) (Cfg.preds cfg loop.Loops.header) with
   | [ single ] ->
     let b = Cfg.block cfg single in
-    (* reuse it only if it unconditionally jumps to the header *)
     (match b.Ir.term with Ir.Jmp _ -> Some b | _ -> None)
   | _ -> None
 
-let rec make_preheader (f : Ir.func) (cfg : Cfg.t) (loop : Loops.loop) =
-  match ensure_preheader f cfg loop with
+let rec insert_before blocks label pre =
+  match blocks with
+  | [] -> [ pre ]
+  | b :: rest when b.Ir.label = label -> pre :: b :: rest
+  | b :: rest -> b :: insert_before rest label pre
+
+let make_preheader (f : Ir.func) (loop : Loops.loop) =
+  match existing_preheader loop with
   | Some b -> b
   | None ->
+    let header = Cfg.label loop.Loops.cfg loop.Loops.header in
     let label = Ir.fresh_label f "preheader" in
-    let pre = { Ir.label; insts = []; term = Ir.Jmp loop.Loops.header } in
-    let retarget l = if l = loop.Loops.header then label else l in
-    List.iter
-      (fun (b : Ir.block) ->
-        if not (SS.mem b.Ir.label loop.Loops.body) then
+    let pre = { Ir.label; insts = []; term = Ir.Jmp header } in
+    let retarget l = if l = header then label else l in
+    List.iteri
+      (fun i (b : Ir.block) ->
+        if not (Loops.mem loop i) then
           b.Ir.term <-
             (match b.Ir.term with
             | Ir.Jmp l -> Ir.Jmp (retarget l)
@@ -52,23 +54,16 @@ let rec make_preheader (f : Ir.func) (cfg : Cfg.t) (loop : Loops.loop) =
       f.Ir.blocks;
     (* keep entry block first: if the header was the entry, the
        preheader becomes the new entry *)
-    if (Ir.entry_block f).Ir.label = loop.Loops.header then
-      f.Ir.blocks <- pre :: f.Ir.blocks
-    else f.Ir.blocks <- insert_before f.Ir.blocks loop.Loops.header pre;
+    if loop.Loops.header = 0 then f.Ir.blocks <- pre :: f.Ir.blocks
+    else f.Ir.blocks <- insert_before f.Ir.blocks header pre;
     pre
 
-and insert_before blocks label pre =
-  match blocks with
-  | [] -> [ pre ]
-  | b :: rest when b.Ir.label = label -> pre :: b :: rest
-  | b :: rest -> b :: insert_before rest label pre
-
 (* def counts inside the loop *)
-let loop_def_counts (cfg : Cfg.t) (loop : Loops.loop) =
+let loop_def_counts (loop : Loops.loop) =
   let tbl = Hashtbl.create 32 in
-  SS.iter
-    (fun label ->
-      let b = Cfg.block cfg label in
+  Array.iter
+    (fun i ->
+      let b = Cfg.block loop.Loops.cfg i in
       List.iter
         (fun inst ->
           List.iter
@@ -79,10 +74,10 @@ let loop_def_counts (cfg : Cfg.t) (loop : Loops.loop) =
     loop.Loops.body;
   tbl
 
-let loop_has_memory_clobber ?summaries (cfg : Cfg.t) (loop : Loops.loop) =
-  SS.exists
-    (fun label ->
-      let b = Cfg.block cfg label in
+let loop_has_memory_clobber ?summaries (loop : Loops.loop) =
+  Array.exists
+    (fun i ->
+      let b = Cfg.block loop.Loops.cfg i in
       List.exists
         (function
           | Ir.Store _ -> true
@@ -108,22 +103,29 @@ let loop_has_memory_clobber ?summaries (cfg : Cfg.t) (loop : Loops.loop) =
    - [memory_clobbered] is unchanged, since only pure instructions and
      loads move, never stores or calls.
    The preheader made for the first hoist is the one every later hoist
-   would find again, so it is reused. *)
+   would find again, so it is reused.  Liveness and dominators, the
+   costly checks, are computed when a candidate first reaches them:
+   every hoisted instruction passed both, so that is before the first
+   hoist, and a loop with nothing to hoist mostly needs neither. *)
 let run_loop ?summaries (f : Ir.func) (loop : Loops.loop) =
   let cfg = Cfg.of_func f in
-  if not (SS.for_all (fun l -> Cfg.reachable cfg l) loop.Loops.body) then false
-  else begin
-    let dom = Dominators.compute cfg in
-    let live = Liveness.compute cfg in
-    let def_counts = loop_def_counts cfg loop in
+  match Loops.rebase cfg loop with
+  | None -> false
+  | Some loop ->
+    let def_counts = loop_def_counts loop in
     let defined_in_loop v = Hashtbl.mem def_counts v in
     let single_def_in_loop v = Hashtbl.find_opt def_counts v = Some 1 in
-    let live_at_header = Liveness.live_in live loop.Loops.header in
-    let memory_clobbered = loop_has_memory_clobber ?summaries cfg loop in
-    let dominates_latches label =
-      List.for_all (fun latch -> Dominators.dominates dom label latch) loop.Loops.back_edges
+    let live_at_header =
+      lazy (Liveness.live_in (Liveness.compute cfg) loop.Loops.header)
     in
-    let hoistable label inst =
+    let memory_clobbered = loop_has_memory_clobber ?summaries loop in
+    let dom = lazy (Dominators.compute cfg) in
+    let dominates_latches i =
+      List.for_all
+        (fun latch -> Dominators.dominates (Lazy.force dom) i latch)
+        loop.Loops.back_edges
+    in
+    let hoistable i inst =
       let pure =
         match inst with
         | Ir.Bin _ | Ir.Mov _ | Ir.Global_addr _ | Ir.Slot_addr _ -> true
@@ -134,23 +136,23 @@ let run_loop ?summaries (f : Ir.func) (loop : Loops.loop) =
       && (match Ir.inst_defs inst with
          | [ d ] ->
            single_def_in_loop d
-           && (not (VS.mem d live_at_header))
            && List.for_all (fun u -> not (defined_in_loop u)) (Ir.inst_uses inst)
+           && not (Bitset.mem (Lazy.force live_at_header) d)
          | _ -> false)
-      && dominates_latches label
+      && dominates_latches i
     in
     (* the first hoistable instruction in body order, if any *)
     let next () =
-      SS.fold
-        (fun label found ->
+      Array.fold_left
+        (fun found i ->
           match found with
           | Some _ -> found
           | None ->
-            let b = Cfg.block cfg label in
-            Option.map (fun inst -> (b, inst)) (List.find_opt (hoistable label) b.Ir.insts))
-        loop.Loops.body None
+            let b = Cfg.block cfg i in
+            Option.map (fun inst -> (b, inst)) (List.find_opt (hoistable i) b.Ir.insts))
+        None loop.Loops.body
     in
-    let preheader = lazy (make_preheader f cfg loop) in
+    let preheader = lazy (make_preheader f loop) in
     let rec hoist changed =
       match next () with
       | None -> changed
@@ -162,7 +164,6 @@ let run_loop ?summaries (f : Ir.func) (loop : Loops.loop) =
         hoist true
     in
     hoist false
-  end
 
 let run ?summaries (f : Ir.func) =
   let cfg = Cfg.of_func f in

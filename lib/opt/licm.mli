@@ -7,9 +7,10 @@
     store-free functions do not block load hoisting — the paper's
     future-work "more aggressive analysis". *)
 
-val make_preheader : Elag_ir.Ir.func -> Elag_ir.Cfg.t -> Elag_ir.Loops.loop -> Elag_ir.Ir.block
+val make_preheader : Elag_ir.Ir.func -> Elag_ir.Loops.loop -> Elag_ir.Ir.block
 (** Create (or reuse) the loop's preheader: the unique non-latch
-    predecessor of the header.  Shared with {!Strength_reduce} and
-    {!Addr_promote}. *)
+    predecessor of the header.  The loop's snapshot must be current
+    for the function (see {!Elag_ir.Loops.rebase}).  Shared with
+    {!Strength_reduce} and {!Addr_promote}. *)
 
 val run : ?summaries:Purity.t -> Elag_ir.Ir.func -> bool

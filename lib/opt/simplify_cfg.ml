@@ -8,9 +8,6 @@
 
 module Ir = Elag_ir.Ir
 module Cfg = Elag_ir.Cfg
-module Dominators = Elag_ir.Dominators
-module Loops = Elag_ir.Loops
-module Liveness = Elag_ir.Liveness
 
 let fold_branch (t : Ir.terminator) =
   match t with
@@ -74,31 +71,31 @@ let run (f : Ir.func) =
     f.Ir.blocks;
   (* 3. delete unreachable blocks *)
   let cfg = Cfg.of_func f in
-  let reachable = List.filter (fun (b : Ir.block) -> Cfg.reachable cfg b.label) f.Ir.blocks in
+  let reachable = List.filteri (fun i _ -> Cfg.reachable cfg i) f.Ir.blocks in
   if List.length reachable <> List.length f.Ir.blocks then begin
     f.Ir.blocks <- reachable;
     changed := true
   end;
   (* 4. merge straight-line pairs *)
   let cfg = Cfg.of_func f in
-  let merged = Hashtbl.create 8 in
-  List.iter
-    (fun (b : Ir.block) ->
-      if not (Hashtbl.mem merged b.label) then
+  let merged = Array.make (Cfg.length cfg) false in
+  List.iteri
+    (fun i (b : Ir.block) ->
+      if not merged.(i) then
         match b.term with
         | Ir.Jmp next when next <> b.label -> begin
-          match Cfg.preds cfg next with
-          | [ single ] when single = b.label && next <> (Ir.entry_block f).label ->
-            let nb = Cfg.block cfg next in
+          let n = Cfg.index cfg next in
+          match Cfg.preds cfg n with
+          | [ single ] when single = i && n <> 0 ->
+            let nb = Cfg.block cfg n in
             b.insts <- b.insts @ nb.Ir.insts;
             b.term <- nb.Ir.term;
-            Hashtbl.replace merged next ();
+            merged.(n) <- true;
             changed := true
           | _ -> ()
         end
         | _ -> ())
     f.Ir.blocks;
-  if Hashtbl.length merged > 0 then
-    f.Ir.blocks <-
-      List.filter (fun (b : Ir.block) -> not (Hashtbl.mem merged b.label)) f.Ir.blocks;
+  if Array.mem true merged then
+    f.Ir.blocks <- List.filteri (fun i _ -> not merged.(i)) f.Ir.blocks;
   !changed

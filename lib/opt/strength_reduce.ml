@@ -17,22 +17,19 @@ module Ir = Elag_ir.Ir
 module Cfg = Elag_ir.Cfg
 module Dominators = Elag_ir.Dominators
 module Loops = Elag_ir.Loops
-module Liveness = Elag_ir.Liveness
-
-module SS = Loops.SS
 
 type basic_iv =
   { iv : Ir.vreg
   ; step : int
-  ; update_block : string
+  ; update_block : int
   ; update_inst : Ir.inst }
 
-let find_basic_ivs (cfg : Cfg.t) (dom : Dominators.t) (loop : Loops.loop) =
+let find_basic_ivs (dom : Dominators.t) (loop : Loops.loop) =
   let candidates = Hashtbl.create 8 in
   (* map v -> (count of defs, latest update info) *)
-  SS.iter
-    (fun label ->
-      let b = Cfg.block cfg label in
+  Array.iter
+    (fun i ->
+      let b = Cfg.block loop.Loops.cfg i in
       List.iter
         (fun inst ->
           List.iter
@@ -48,7 +45,7 @@ let find_basic_ivs (cfg : Cfg.t) (dom : Dominators.t) (loop : Loops.loop) =
               let count = fst prev + 1 in
               Hashtbl.replace candidates d
                 (count, match step with
-                        | Some c -> Some (c, label, inst)
+                        | Some c -> Some (c, i, inst)
                         | None -> None))
             (Ir.inst_defs inst))
         b.Ir.insts)
@@ -74,13 +71,14 @@ let candidate_scale iv = function
     Some (d, 1 lsl k)
   | _ -> None
 
-let reduce_one (f : Ir.func) (cfg : Cfg.t) (loop : Loops.loop) (biv : basic_iv) =
+let reduce_one (f : Ir.func) (loop : Loops.loop) (biv : basic_iv) =
+  let cfg = loop.Loops.cfg in
   (* Find one candidate instruction in the loop. *)
   let found = ref None in
-  SS.iter
-    (fun label ->
+  Array.iter
+    (fun i ->
       if !found = None then begin
-        let b = Cfg.block cfg label in
+        let b = Cfg.block cfg i in
         List.iter
           (fun inst ->
             if !found = None then
@@ -95,7 +93,7 @@ let reduce_one (f : Ir.func) (cfg : Cfg.t) (loop : Loops.loop) (biv : basic_iv) 
   | Some (use_block, use_inst, d, k) ->
     let s = Ir.fresh_vreg f in
     (* preheader initialization *)
-    let pre = Licm.make_preheader f (Cfg.of_func f) loop in
+    let pre = Licm.make_preheader f loop in
     pre.Ir.insts <- pre.Ir.insts @ [ Ir.Bin (Ir.Mul, s, Ir.Reg biv.iv, Ir.Imm k) ];
     (* accumulator bump right after the IV update *)
     let upd_block = Cfg.block cfg biv.update_block in
@@ -119,14 +117,17 @@ let run_loop (f : Ir.func) (loop : Loops.loop) =
   while !continue_ do
     continue_ := false;
     let cfg = Cfg.of_func f in
-    if SS.for_all (Cfg.reachable cfg) loop.Loops.body then begin
+    match Loops.rebase cfg loop with
+    | None -> ()
+    | Some loop ->
       let dom = Dominators.compute cfg in
-      let ivs = find_basic_ivs cfg dom loop in
-      if List.exists (fun biv -> reduce_one f cfg loop biv) ivs then begin
+      let ivs = find_basic_ivs dom loop in
+      (* [reduce_one] changes the CFG only once it succeeds, so the
+         snapshot stays current for every attempt *)
+      if List.exists (fun biv -> reduce_one f loop biv) ivs then begin
         changed := true;
         continue_ := true
       end
-    end
   done;
   !changed
 

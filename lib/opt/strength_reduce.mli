@@ -5,12 +5,12 @@
 type basic_iv =
   { iv : Elag_ir.Ir.vreg
   ; step : int
-  ; update_block : string
+  ; update_block : int  (** index in the loop's snapshot *)
   ; update_inst : Elag_ir.Ir.inst }
 
-val find_basic_ivs : Elag_ir.Cfg.t -> Elag_ir.Dominators.t -> Elag_ir.Loops.loop -> basic_iv list
+val find_basic_ivs : Elag_ir.Dominators.t -> Elag_ir.Loops.loop -> basic_iv list
 (** Registers whose only in-loop definition is a self-increment by a
-    constant, with the update dominating every latch.  Shared with
-    {!Addr_promote}. *)
+    constant, with the update dominating every latch.  The dominators
+    are those of the loop's snapshot.  Shared with {!Addr_promote}. *)
 
 val run : Elag_ir.Ir.func -> bool

@@ -18,38 +18,43 @@ module Ir = Elag_ir.Ir
 module Cfg = Elag_ir.Cfg
 module Dominators = Elag_ir.Dominators
 module Loops = Elag_ir.Loops
-module Liveness = Elag_ir.Liveness
-
-module SS = Loops.SS
 
 let default_factor = 4
 let max_body_insts = 48
 let max_body_blocks = 8
 
-let body_size (cfg : Cfg.t) (loop : Loops.loop) =
-  SS.fold
-    (fun label acc -> acc + List.length (Cfg.block cfg label).Ir.insts)
-    loop.Loops.body 0
+let body_size (loop : Loops.loop) =
+  Array.fold_left
+    (fun acc i -> acc + List.length (Cfg.block loop.Loops.cfg i).Ir.insts)
+    0 loop.Loops.body
 
 let is_innermost (loops : Loops.loop list) (loop : Loops.loop) =
   not
     (List.exists
        (fun (other : Loops.loop) ->
-         other.Loops.header <> loop.Loops.header
-         && SS.mem other.Loops.header loop.Loops.body)
+         other.Loops.header <> loop.Loops.header && Loops.mem loop other.Loops.header)
        loops)
 
-let unroll_loop (f : Ir.func) (cfg : Cfg.t) (loop : Loops.loop) ~factor =
+(* The loops all come from one snapshot, taken before any of them is
+   unrolled; the copies each unrolling adds are outside every other
+   candidate. *)
+let unroll_loop (f : Ir.func) (loop : Loops.loop) ~factor =
+  let cfg = loop.Loops.cfg in
   match loop.Loops.back_edges with
-  | [ latch ] ->
+  | [ latch_index ] ->
     let copy_label k label = Printf.sprintf "%s.u%d" label k in
-    let rename k label = if SS.mem label loop.Loops.body then copy_label k label else label in
-    let header = loop.Loops.header in
+    let in_body label =
+      match Cfg.index_opt cfg label with Some i -> Loops.mem loop i | None -> false
+    in
+    let rename k label = if in_body label then copy_label k label else label in
+    let header = Cfg.label cfg loop.Loops.header in
+    let latch = Cfg.label cfg latch_index in
     let copies = ref [] in
     for k = 1 to factor - 1 do
-      SS.iter
-        (fun label ->
-          let b = Cfg.block cfg label in
+      Array.iter
+        (fun i ->
+          let b = Cfg.block cfg i in
+          let label = b.Ir.label in
           let next_header =
             if label = latch then
               if k = factor - 1 then header else copy_label (k + 1) header
@@ -70,7 +75,7 @@ let unroll_loop (f : Ir.func) (cfg : Cfg.t) (loop : Loops.loop) ~factor =
         loop.Loops.body
     done;
     (* Redirect the original latch's back edge into the first copy. *)
-    let latch_block = Cfg.block cfg latch in
+    let latch_block = Cfg.block cfg latch_index in
     let redirect tgt = if tgt = header then copy_label 1 header else tgt in
     latch_block.Ir.term <-
       (match latch_block.Ir.term with
@@ -99,9 +104,9 @@ let run ?(factor = default_factor) (f : Ir.func) =
         (fun loop ->
           is_innermost loops loop
           && List.length loop.Loops.back_edges = 1
-          && SS.cardinal loop.Loops.body <= max_body_blocks
-          && body_size cfg loop <= max_body_insts)
+          && Array.length loop.Loops.body <= max_body_blocks
+          && body_size loop <= max_body_insts)
         loops
     in
-    List.fold_left (fun acc loop -> unroll_loop f cfg loop ~factor || acc) false candidates
+    List.fold_left (fun acc loop -> unroll_loop f loop ~factor || acc) false candidates
   end

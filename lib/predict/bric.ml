@@ -81,7 +81,7 @@ let flush t = t.count <- 0
 
 let delay t ~until =
   for i = 0 to t.count - 1 do
-    t.valid_from.(i) <- max t.valid_from.(i) until
+    if t.valid_from.(i) < until then t.valid_from.(i) <- until
   done
 
 let resident_count t = t.count

@@ -39,7 +39,10 @@ let update t pc ~taken ~target =
   if not correct then t.mispredictions <- t.mispredictions + 1;
   if hit then begin
     let c = t.counters.(i) in
-    t.counters.(i) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
+    (* saturating 2-bit counter; int comparisons, not the polymorphic
+       [min]/[max] *)
+    t.counters.(i) <-
+      (if taken then (if c >= 3 then 3 else c + 1) else if c <= 0 then 0 else c - 1);
     if taken then t.targets.(i) <- target
   end
   else if taken then begin
@@ -63,5 +66,7 @@ let slot_valid t i =
 let corrupt t ~slot:i ?target ?counter ?tag () =
   if i < 0 || i >= size t then invalid_arg "Btb.corrupt";
   (match target with Some v -> t.targets.(i) <- v | None -> ());
-  (match counter with Some v -> t.counters.(i) <- max 0 (min 3 v) | None -> ());
+  (match counter with
+   | Some v -> t.counters.(i) <- (if v <= 0 then 0 else if v >= 3 then 3 else v)
+   | None -> ());
   (match tag with Some v -> t.tags.(i) <- v | None -> ())

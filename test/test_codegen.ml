@@ -130,10 +130,59 @@ let test_emitted_program_shape () =
   done;
   check_bool "program halts" true !has_halt
 
+(* --- golden listings ------------------------------------------------------- *)
+
+(* The MD5 of every compiled listing: each workload at O0, O1 and at O2
+   with unroll factors 0, 4 and 8, plus one digest over the listings of
+   [Gen.minic] seeds 0-199.  Any change to what the compiler emits moves
+   a digest; an analysis or pass rewrite that must not change code is
+   checked by this file staying put.  Regenerate with the hook described
+   in {!Golden}. *)
+let listing_digest ~options source =
+  Digest.to_hex
+    (Digest.string (Fmt.str "%a" Program.pp (Compile.compile ~options source)))
+
+let golden_listings () =
+  let module Json = Elag_telemetry.Json in
+  let module Driver = Elag_opt.Driver in
+  let at opt_level unroll_factor =
+    { Compile.default_options with opt_level; unroll_factor }
+  in
+  let configs =
+    [ ("O0", at Driver.O0 0); ("O1", at Driver.O1 0); ("O2-u0", at Driver.O2 0)
+    ; ("O2-u4", at Driver.O2 4); ("O2-u8", at Driver.O2 8) ]
+  in
+  let workloads =
+    List.map
+      (fun (w : Elag_workloads.Workload.t) ->
+        ( w.name
+        , Json.Obj
+            (List.map
+               (fun (name, options) ->
+                 (name, Json.String (listing_digest ~options w.source)))
+               configs) ))
+      Elag_workloads.Suite.all
+  in
+  let minic =
+    Digest.to_hex
+      (Digest.string
+         (String.concat ""
+            (List.init 200 (fun seed ->
+                 listing_digest ~options:Compile.default_options
+                   (Elag_fuzz.Gen.minic seed)))))
+  in
+  Json.to_string ~pretty:true
+    (Json.Obj [ ("workloads", Json.Obj workloads); ("minic_seeds_0_199", Json.String minic) ])
+  ^ "\n"
+
+let test_golden_listings () =
+  Golden.check ~file:"golden_listings.json" (golden_listings ())
+
 let suite =
   [ Alcotest.test_case "spill stress" `Quick test_spill_stress
   ; Alcotest.test_case "regalloc under pressure" `Quick test_regalloc_spills_under_pressure
   ; Alcotest.test_case "call-crossing values" `Quick test_call_crossing_values_survive
   ; Alcotest.test_case "deep recursion" `Quick test_deep_recursion_frames
   ; Alcotest.test_case "load specs survive" `Quick test_load_specs_survive_codegen
-  ; Alcotest.test_case "program shape" `Quick test_emitted_program_shape ]
+  ; Alcotest.test_case "program shape" `Quick test_emitted_program_shape
+  ; Alcotest.test_case "golden listings" `Quick test_golden_listings ]

@@ -37,13 +37,17 @@ let while_loop ?(body_insts = []) ?(head_insts = []) () =
         (Ir.Jmp "head")
     ; block "exit" [] (Ir.Ret (Some (Ir.Reg 1))) ]
 
+let labels cfg = List.map (Cfg.label cfg)
+
 let test_cfg_edges () =
   let cfg = Cfg.of_func (diamond ()) in
-  Alcotest.(check (list string)) "entry succs" [ "then"; "else" ] (Cfg.succs cfg "entry");
+  let at = Cfg.index cfg in
+  Alcotest.(check (list string)) "entry succs" [ "then"; "else" ]
+    (labels cfg (Cfg.succs cfg (at "entry")));
   Alcotest.(check (list string)) "exit preds (sorted)" [ "else"; "then" ]
-    (List.sort compare (Cfg.preds cfg "exit"));
-  check "rpo covers all" 4 (List.length cfg.Cfg.rpo);
-  Alcotest.(check string) "rpo starts at entry" "entry" (List.hd cfg.Cfg.rpo)
+    (List.sort compare (labels cfg (Cfg.preds cfg (at "exit"))));
+  check "rpo covers all" 4 (Array.length (Cfg.rpo cfg));
+  Alcotest.(check string) "rpo starts at entry" "entry" (Cfg.label cfg (Cfg.rpo cfg).(0))
 
 let test_cfg_unreachable () =
   let f =
@@ -52,17 +56,19 @@ let test_cfg_unreachable () =
       ; block "island" [] (Ir.Jmp "entry") ]
   in
   let cfg = Cfg.of_func f in
-  check_bool "island unreachable" false (Cfg.reachable cfg "island");
+  check_bool "island unreachable" false (Cfg.reachable cfg (Cfg.index cfg "island"));
   check "one unreachable" 1 (List.length (Cfg.unreachable_blocks cfg))
 
 let test_dominators_diamond () =
   let cfg = Cfg.of_func (diamond ()) in
   let dom = Dominators.compute cfg in
-  check_bool "entry dominates all" true (Dominators.dominates dom "entry" "exit");
-  check_bool "then does not dominate exit" false (Dominators.dominates dom "then" "exit");
-  check_bool "self-domination" true (Dominators.dominates dom "then" "then");
+  let at = Cfg.index cfg in
+  check_bool "entry dominates all" true (Dominators.dominates dom (at "entry") (at "exit"));
+  check_bool "then does not dominate exit" false
+    (Dominators.dominates dom (at "then") (at "exit"));
+  check_bool "self-domination" true (Dominators.dominates dom (at "then") (at "then"));
   Alcotest.(check (option string)) "idom of exit" (Some "entry")
-    (Dominators.idom dom "exit")
+    (Option.map (Cfg.label cfg) (Dominators.idom dom (at "exit")))
 
 let test_loop_detection () =
   let cfg = Cfg.of_func (while_loop ()) in
@@ -70,11 +76,12 @@ let test_loop_detection () =
   let loops = Loops.compute cfg dom in
   check "one loop" 1 (List.length loops);
   let l = List.hd loops in
-  Alcotest.(check string) "header" "head" l.Loops.header;
-  check_bool "body in loop" true (Loops.mem l "body");
-  check_bool "entry not in loop" false (Loops.mem l "entry");
-  check_bool "exit not in loop" false (Loops.mem l "exit");
-  Alcotest.(check (list string)) "latch" [ "body" ] l.Loops.back_edges;
+  let at = Cfg.index cfg in
+  Alcotest.(check string) "header" "head" (Cfg.label cfg l.Loops.header);
+  check_bool "body in loop" true (Loops.mem l (at "body"));
+  check_bool "entry not in loop" false (Loops.mem l (at "entry"));
+  check_bool "exit not in loop" false (Loops.mem l (at "exit"));
+  Alcotest.(check (list string)) "latch" [ "body" ] (labels cfg l.Loops.back_edges);
   check "depth" 1 l.Loops.depth
 
 let test_nested_loops_inner_first () =
@@ -95,11 +102,11 @@ let test_nested_loops_inner_first () =
   let loops = Loops.compute cfg (Dominators.compute cfg) in
   check "two loops" 2 (List.length loops);
   let first = List.hd loops in
-  Alcotest.(check string) "inner first" "ih" first.Loops.header;
+  Alcotest.(check string) "inner first" "ih" (Cfg.label cfg first.Loops.header);
   check "inner depth 2" 2 first.Loops.depth;
   (* the innermost loop containing the inner body is the inner loop *)
-  match Loops.innermost_containing loops "ib" with
-  | Some l -> Alcotest.(check string) "innermost of ib" "ih" l.Loops.header
+  match Loops.innermost_containing loops (Cfg.index cfg "ib") with
+  | Some l -> Alcotest.(check string) "innermost of ib" "ih" (Cfg.label cfg l.Loops.header)
   | None -> Alcotest.fail "ib should be in a loop"
 
 let test_liveness () =
@@ -114,13 +121,14 @@ let test_liveness () =
   in
   let cfg = Cfg.of_func f in
   let live = Liveness.compute cfg in
-  let module VS = Liveness.VS in
-  check_bool "counter live into head" true (VS.mem 1 (Liveness.live_in live "head"));
-  check_bool "counter live out of body" true (VS.mem 1 (Liveness.live_out live "body"));
-  check_bool "temp not live into head" false (VS.mem 2 (Liveness.live_in live "head"));
-  check_bool "temp not live out of body" false (VS.mem 2 (Liveness.live_out live "body"));
-  check_bool "nothing live into entry" true
-    (VS.is_empty (Liveness.live_in live "entry"))
+  let live_in l = Liveness.live_in live (Cfg.index cfg l) in
+  let live_out l = Liveness.live_out live (Cfg.index cfg l) in
+  let module Bitset = Elag_ir.Bitset in
+  check_bool "counter live into head" true (Bitset.mem (live_in "head") 1);
+  check_bool "counter live out of body" true (Bitset.mem (live_out "body") 1);
+  check_bool "temp not live into head" false (Bitset.mem (live_in "head") 2);
+  check_bool "temp not live out of body" false (Bitset.mem (live_out "body") 2);
+  Alcotest.(check (list int)) "nothing live into entry" [] (Bitset.elements (live_in "entry"))
 
 let test_inst_metadata () =
   let load =

@@ -5,6 +5,7 @@ let () =
     ; ("minic", Test_minic.suite)
     ; ("lang", Test_lang.suite)
     ; ("ir", Test_ir.suite)
+    ; ("analyses", Test_analyses.suite)
     ; ("opt", Test_opt.suite)
     ; ("classify", Test_classify.suite)
     ; ("codegen", Test_codegen.suite)

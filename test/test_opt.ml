@@ -129,7 +129,8 @@ let test_licm_hoists_invariant () =
     List.length
       (List.concat_map
          (fun (b : Ir.block) ->
-           if Elag_ir.Loops.mem loop b.Ir.label then List.filter is_mul b.Ir.insts
+           if Elag_ir.Loops.mem loop (Elag_ir.Cfg.index cfg b.Ir.label) then
+             List.filter is_mul b.Ir.insts
            else [])
          main.Ir.blocks)
   in
@@ -151,7 +152,8 @@ let test_strength_reduction_removes_mul () =
     List.length
       (List.concat_map
          (fun (b : Ir.block) ->
-           if Elag_ir.Loops.mem loop b.Ir.label then List.filter is_mul b.Ir.insts
+           if Elag_ir.Loops.mem loop (Elag_ir.Cfg.index cfg b.Ir.label) then
+             List.filter is_mul b.Ir.insts
            else [])
          main.Ir.blocks)
   in
@@ -242,7 +244,8 @@ let test_licm_hoists_load_past_pure_call () =
       List.length
         (List.concat_map
            (fun (b : Ir.block) ->
-             if Elag_ir.Loops.mem loop b.Ir.label then List.filter is_load b.Ir.insts
+             if Elag_ir.Loops.mem loop (Elag_ir.Cfg.index cfg b.Ir.label) then
+               List.filter is_load b.Ir.insts
              else [])
            main.Ir.blocks)
     | [] -> -1
