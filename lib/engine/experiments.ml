@@ -318,7 +318,7 @@ let print_ablation engine =
   (* Oracle bound: if every load had zero latency and never missed, how
      fast could ANY early address-generation scheme possibly be?  The
      gap between dual-cc and this bound is the paper's headroom. *)
-  let oracle = Config.make ~load_latency:0 ~miss_penalty:0 () in
+  let oracle = { Config.default with load_latency = 0; miss_penalty = 0 } in
   print_row engine "speedup ceiling (zero-latency, never-missing loads)\n " (fun w ->
       float_of_int (Engine.base_cycles engine w)
       /. float_of_int (Engine.base_cycles ~config:oracle engine w));

@@ -1,9 +1,8 @@
 (* Standing verification suites over the workload suite.
 
    Matrix-design constraints:
-   - the address table exists under [table-*] and [dual-*], the BRIC
-     only under [calc-*], R_addr only under [dual-*] — each fault
-     target rides a mechanism that instantiates its structure;
+   - each fault target rides {!Fault.preset_of_target}, a mechanism
+     that instantiates its structure;
    - the three matrix workloads are the suite's cheapest with
      substantial load traffic, keeping the whole matrix (baselines
      plus faulted runs) affordable inside [dune runtest];
@@ -35,12 +34,7 @@ let matrix_workloads = [ "PGP Decode"; "147.vortex"; "PGP Encode" ]
 let plans_for i w =
   let p name target ~seed ~first ~period =
     { workload = w
-    ; mechanism =
-        (match target with
-        | Fault.Table_scramble _ | Fault.Table_pa _ -> "table-256-cc"
-        | Fault.Table_state _ | Fault.Raddr_unbind -> "dual-cc"
-        | Fault.Bric_flush | Fault.Bric_delay _ -> "calc-8"
-        | Fault.Btb_target _ | Fault.Btb_scramble _ -> "baseline")
+    ; mechanism = Fault.preset_of_target target
     ; plan = { Fault.name = w ^ "/" ^ name; seed; first; period; target } }
   in
   [ p "table-scramble"

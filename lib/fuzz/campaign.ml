@@ -87,22 +87,16 @@ type summary =
   ; failures : (int * string) list
   ; saved : string list  (* corpus metadata paths written this run *) }
 
-(* Fault targets paired with a mechanism that actually owns the state
-   being corrupted (mirrors Verification.fault_matrix's mapping). *)
+(* Each runs under {!Fault.preset_of_target}. *)
 let fault_targets =
-  [| (Fault.Table_scramble { slot = 3 }, "table-256-cc")
-   ; (Fault.Table_pa { slot = 5 }, "table-256-cc")
-   ; (Fault.Table_state { slot = 2 }, "dual-cc")
-   ; (Fault.Bric_flush, "calc-8")
-   ; (Fault.Bric_delay { cycles = 8 }, "calc-8")
-   ; (Fault.Raddr_unbind, "dual-cc")
-   ; (Fault.Btb_target { slot = 1 }, "baseline")
-   ; (Fault.Btb_scramble { slot = 1 }, "baseline") |]
-
-let mechanism_of_name name =
-  match Config.Mechanism.of_string name with
-  | Some m -> m
-  | None -> assert false (* static table above *)
+  [| Fault.Table_scramble { slot = 3 }
+   ; Fault.Table_pa { slot = 5 }
+   ; Fault.Table_state { slot = 2 }
+   ; Fault.Bric_flush
+   ; Fault.Bric_delay { cycles = 8 }
+   ; Fault.Raddr_unbind
+   ; Fault.Btb_target { slot = 1 }
+   ; Fault.Btb_scramble { slot = 1 } |]
 
 let finding ~iter ~seed ~source ~mechanism ~kind ~detail ~report ~listing
     ~insns ~shrunk =
@@ -157,6 +151,25 @@ let run_iteration config (iter, seed) =
     ; r_findings = List.rev !findings }
   in
   let mk = finding ~iter ~seed ~source in
+  let stop = ref false in
+  (* [what] names the step that raised when it is not a preset run;
+     [program] is absent when generation itself raised *)
+  let crash ?what ?program mechanism e =
+    stop := true;
+    let detail =
+      match what with
+      | None -> Printexc.to_string e
+      | Some what -> Printf.sprintf "%s: %s" what (Printexc.to_string e)
+    in
+    let listing, insns =
+      match program with
+      | None -> ("", 0)
+      | Some p -> (Fmt.str "%a" Elag_isa.Program.pp p, Elag_isa.Program.length p)
+    in
+    add
+      (mk ~mechanism ~kind:Crash ~detail ~report:Json.Null ~listing ~insns
+         ~shrunk:false)
+  in
   (* generate (compile) — a crash here is a finding, with the seed
      preserved, not a dead worker *)
   match
@@ -169,10 +182,7 @@ let run_iteration config (iter, seed) =
       (None, program, Gen.minic_budget)
   with
   | exception e ->
-    add
-      (mk ~mechanism:"-" ~kind:Crash
-         ~detail:(Printf.sprintf "generation: %s" (Printexc.to_string e))
-         ~report:Json.Null ~listing:"" ~insns:0 ~shrunk:false);
+    crash ~what:"generation" "-" e;
     finish ()
   | g, program, budget -> (
     let listing () = Fmt.str "%a" Elag_isa.Program.pp program in
@@ -191,15 +201,7 @@ let run_iteration config (iter, seed) =
          the oracle and each remaining one is only timed, one pipeline
          live at a time.  [oracle_runs] counts the preset runs the
          verdict covers. *)
-      let stop = ref false in
-      let crash mech_name e =
-        stop := true;
-        add
-          (mk ~mechanism:mech_name ~kind:Crash
-             ~detail:(Printexc.to_string e) ~report:Json.Null
-             ~listing:(listing ())
-             ~insns:(Elag_isa.Program.length program) ~shrunk:false)
-      in
+      let crash = crash ~program in
       List.iteri
         (fun k mechanism ->
           if not !stop then begin
@@ -248,19 +250,13 @@ let run_iteration config (iter, seed) =
         && source = "epa"
       then begin
         let frng = Xorshift.create (seed lxor 0xFA17) in
-        let target, mech_name =
-          fault_targets.(Xorshift.int frng (Array.length fault_targets))
-        in
+        let target = fault_targets.(Xorshift.int frng (Array.length fault_targets)) in
+        let mech_name = Fault.preset_of_target target in
         let cfg =
-          Config.with_mechanism (mechanism_of_name mech_name) Config.default
+          Config.with_mechanism (Config.Mechanism.of_string_exn mech_name) Config.default
         in
         match Fault.baseline ~max_insns:budget cfg program with
-        | exception e ->
-          add
-            (mk ~mechanism:mech_name ~kind:Crash
-               ~detail:(Printf.sprintf "fault baseline: %s" (Printexc.to_string e))
-               ~report:Json.Null ~listing:(listing ())
-               ~insns:(Elag_isa.Program.length program) ~shrunk:false)
+        | exception e -> crash ~what:"fault baseline" mech_name e
         | base ->
           let retired = max 1 base.Fault.base_retired in
           let plan =
@@ -272,12 +268,7 @@ let run_iteration config (iter, seed) =
           in
           incr fault_runs;
           match Fault.run_plan ~max_insns:budget ~baseline:base cfg program plan with
-          | exception e ->
-            add
-              (mk ~mechanism:mech_name ~kind:Crash
-                 ~detail:(Printf.sprintf "fault plan: %s" (Printexc.to_string e))
-                 ~report:Json.Null ~listing:(listing ())
-                 ~insns:(Elag_isa.Program.length program) ~shrunk:false)
+          | exception e -> crash ~what:"fault plan" mech_name e
           | outcome ->
             (* On arbitrary programs only the architectural invariants
                are universal: corrupted hint state may legitimately

@@ -1,7 +1,10 @@
 (* Base-register cache (BRIC) for the hardware-only early-calculation
    baseline, after Austin & Sohi: an N-entry cache of base-register
    identities whose values are kept coherent with the register file by
-   multicast writes.
+   multicast writes.  At capacity 1 it is the paper's R_addr (§3.2.1):
+   binding a different register is a miss whose value is usable only
+   from the next cycle (the "binding has just been switched" hazard),
+   and rebinding the same register is a hit that keeps it.
 
    Value coherence is modeled by the pipeline through the register
    scoreboard (a cached value is stale exactly when a write to the

@@ -57,35 +57,10 @@ let default =
   ; mispredict_penalty = 3
   ; mechanism = No_early }
 
-(* Labelled builder and per-field functional updates, so binaries and
-   benches never open-code record updates against the field list. *)
-let make ?(issue_width = default.issue_width) ?(int_alus = default.int_alus)
-    ?(mem_ports = default.mem_ports) ?(branch_units = default.branch_units)
-    ?(load_latency = default.load_latency) ?(mul_latency = default.mul_latency)
-    ?(div_latency = default.div_latency) ?(miss_penalty = default.miss_penalty)
-    ?(icache_bytes = default.icache_bytes) ?(dcache_bytes = default.dcache_bytes)
-    ?(line_bytes = default.line_bytes) ?(cache_ways = default.cache_ways)
-    ?(btb_entries = default.btb_entries)
-    ?(mispredict_penalty = default.mispredict_penalty)
-    ?(mechanism = default.mechanism) () =
-  { issue_width; int_alus; mem_ports; branch_units; load_latency; mul_latency
-  ; div_latency; miss_penalty; icache_bytes; dcache_bytes; line_bytes
-  ; cache_ways; btb_entries; mispredict_penalty; mechanism }
-
+(* Per-field functional updates for the fields callers vary. *)
 let with_issue_width issue_width t = { t with issue_width }
-let with_int_alus int_alus t = { t with int_alus }
-let with_mem_ports mem_ports t = { t with mem_ports }
-let with_branch_units branch_units t = { t with branch_units }
-let with_load_latency load_latency t = { t with load_latency }
-let with_mul_latency mul_latency t = { t with mul_latency }
-let with_div_latency div_latency t = { t with div_latency }
 let with_miss_penalty miss_penalty t = { t with miss_penalty }
-let with_icache_bytes icache_bytes t = { t with icache_bytes }
-let with_dcache_bytes dcache_bytes t = { t with dcache_bytes }
-let with_line_bytes line_bytes t = { t with line_bytes }
 let with_cache_ways cache_ways t = { t with cache_ways }
-let with_btb_entries btb_entries t = { t with btb_entries }
-let with_mispredict_penalty mispredict_penalty t = { t with mispredict_penalty }
 let with_mechanism mechanism t = { t with mechanism }
 
 let mechanism_name = function

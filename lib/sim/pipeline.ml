@@ -46,7 +46,6 @@ module Insn = Elag_isa.Insn
 module Reg = Elag_isa.Reg
 module Addr_table = Elag_predict.Addr_table
 module Bric = Elag_predict.Bric
-module Raddr = Elag_predict.Raddr
 module Btb = Elag_predict.Btb
 module Stall = Elag_telemetry.Stall
 module Histogram = Elag_telemetry.Histogram
@@ -147,8 +146,7 @@ type t =
   ; dcache : Cache.t
   ; btb : Btb.t
   ; table : Addr_table.t option
-  ; bric : Bric.t option
-  ; raddr : Raddr.t option
+  ; bric : Bric.t option  (* R_addr under [Dual], the BRIC under [Calc_only] *)
   ; reg_ready : int array
   ; reg_cause : Stall.t array  (* why waiting on this register stalls *)
   ; port_cycle : int array  (* ring: which cycle this slot describes *)
@@ -194,13 +192,12 @@ let create (cfg : Config.t) =
     | Config.Dual { table_entries; _ } -> Some (Addr_table.create table_entries)
     | _ -> None
   in
+  (* R_addr (paper §3.2.1) is a one-entry base-register cache *)
   let bric =
     match cfg.mechanism with
     | Config.Calc_only { bric_entries } -> Some (Bric.create bric_entries)
+    | Config.Dual _ -> Some (Bric.create 1)
     | _ -> None
-  in
-  let raddr =
-    match cfg.mechanism with Config.Dual _ -> Some (Raddr.create ()) | _ -> None
   in
   (* A store issues only with a free port the next cycle, so at most
      [mem_ports] stores share an issue cycle, and the window (see
@@ -217,7 +214,6 @@ let create (cfg : Config.t) =
   ; btb = Btb.create cfg.btb_entries
   ; table
   ; bric
-  ; raddr
   ; reg_ready = Array.make Reg.count 0
   ; reg_cause = Array.make Reg.count Stall.Raw_dependence
   ; port_cycle = Array.make ring_size (-1)
@@ -445,10 +441,7 @@ let eval_spec t c (d : decoded) pc eff =
     let base = d.base in
     if base >= 0 then begin
       let structure_hit =
-        match (t.raddr, t.bric) with
-        | Some r, _ -> Raddr.peek r ~cycle:(c - 2) base
-        | None, Some b -> Bric.peek b ~cycle:(c - 2) base
-        | None, None -> false
+        match t.bric with Some b -> Bric.peek b ~cycle:(c - 2) base | None -> false
       in
       let access_cycle = calc_access_cycle t c base in
       if structure_hit && access_cycle <= c && port_free t access_cycle then begin
@@ -559,18 +552,16 @@ let process t pc insn eff taken next_pc =
     let site = d.site in
     site.site_count <- site.site_count + 1;
     let path = t.sel_path in
-    (* commit structure probes/bindings: the decode-stage table probe
-       (counted here, once, at the chosen cycle), or the R_addr binding
-       or BRIC probe of the calc path *)
+    (* commit structure probes: the decode-stage table probe (counted
+       here, once, at the chosen cycle), or the calc path's probe of
+       R_addr/BRIC, which (re)binds the base register *)
     (match path with
     | Table_path -> (
       match t.table with Some table -> ignore (Addr_table.probe table pc) | None -> ())
-    | Calc_path when d.base >= 0 -> begin
-      match (t.raddr, t.bric) with
-      | Some r, _ -> Raddr.bind r ~cycle:(c - 2) d.base
-      | None, Some b -> ignore (Bric.probe b ~cycle:(c - 2) d.base)
-      | None, None -> ()
-    end
+    | Calc_path when d.base >= 0 -> (
+      match t.bric with
+      | Some b -> ignore (Bric.probe b ~cycle:(c - 2) d.base)
+      | None -> ())
     | Calc_path | No_path -> ());
     (* speculative dispatch effects *)
     let spec_missed_same_line = ref false in
@@ -674,7 +665,6 @@ let bric_stats t = Option.map Bric.stats t.bric
 let btb t = t.btb
 let addr_table t = t.table
 let bric t = t.bric
-let raddr t = t.raddr
 let current_cycle t = t.cur_cycle
 
 (* --- telemetry accessors ---------------------------------------------- *)

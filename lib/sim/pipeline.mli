@@ -76,6 +76,11 @@ val config : t -> Config.t
 val table_stats : t -> Elag_predict.Addr_table.stats option
 
 val bric_stats : t -> Elag_predict.Bric.stats option
+(** The calc path's base-register cache: the N-entry BRIC under
+    [calc-N], R_addr (a one-entry BRIC) under [dual-*]; [None]
+    otherwise.  Probes are calc-path loads at commit, hits are probes
+    that found their base register bound and usable, and evictions
+    are binding switches. *)
 
 (** {2 Fault-injection hooks}
 
@@ -88,7 +93,7 @@ val bric_stats : t -> Elag_predict.Bric.stats option
 val btb : t -> Elag_predict.Btb.t
 val addr_table : t -> Elag_predict.Addr_table.t option
 val bric : t -> Elag_predict.Bric.t option
-val raddr : t -> Elag_predict.Raddr.t option
+(** The BRIC under [calc-N], R_addr under [dual-*]. *)
 
 val current_cycle : t -> int
 (** The current issue cycle, for cycle-relative corruption (e.g.

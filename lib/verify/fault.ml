@@ -27,7 +27,6 @@ module Emulator = Elag_sim.Emulator
 module Addr_table = Elag_predict.Addr_table
 module Stride_entry = Elag_predict.Stride_entry
 module Bric = Elag_predict.Bric
-module Raddr = Elag_predict.Raddr
 module Btb = Elag_predict.Btb
 module Json = Elag_telemetry.Json
 
@@ -50,25 +49,27 @@ type plan =
 
 (* CLI names for targets: the pp form without brackets, with optional
    ":N" parameters ("table-scramble:17", "bric-delay:8").  Parameters
-   default sensibly so `elag_sim_run --fault bric-flush` just works. *)
+   default sensibly so `elag_sim_run --fault table-pa` just works; a
+   parameter that is not a non-negative integer, or one given to a
+   target that takes none, rejects the name. *)
 let target_of_string s =
-  let name, param =
-    match String.index_opt s ':' with
-    | None -> (s, None)
-    | Some i ->
-      ( String.sub s 0 i
-      , int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) )
+  let parse name param =
+    let p default = Option.value param ~default in
+    match name with
+    | "table-scramble" -> Some (Table_scramble { slot = p 0 })
+    | "table-pa" -> Some (Table_pa { slot = p 0 })
+    | "table-state" -> Some (Table_state { slot = p 0 })
+    | "bric-flush" when param = None -> Some Bric_flush
+    | "bric-delay" -> Some (Bric_delay { cycles = p 8 })
+    | "raddr-unbind" when param = None -> Some Raddr_unbind
+    | "btb-target" -> Some (Btb_target { slot = p 0 })
+    | "btb-scramble" -> Some (Btb_scramble { slot = p 0 })
+    | _ -> None
   in
-  let p default = Option.value param ~default in
-  match name with
-  | "table-scramble" -> Some (Table_scramble { slot = p 0 })
-  | "table-pa" -> Some (Table_pa { slot = p 0 })
-  | "table-state" -> Some (Table_state { slot = p 0 })
-  | "bric-flush" -> Some Bric_flush
-  | "bric-delay" -> Some (Bric_delay { cycles = p 8 })
-  | "raddr-unbind" -> Some Raddr_unbind
-  | "btb-target" -> Some (Btb_target { slot = p 0 })
-  | "btb-scramble" -> Some (Btb_scramble { slot = p 0 })
+  match String.split_on_char ':' s with
+  | [ name ] -> parse name None
+  | [ name; n ] -> (
+    match int_of_string_opt n with Some n when n >= 0 -> parse name (Some n) | _ -> None)
   | _ -> None
 
 let target_names =
@@ -84,6 +85,16 @@ let pp_target ppf = function
   | Raddr_unbind -> Fmt.string ppf "raddr-unbind"
   | Btb_target { slot } -> Fmt.pf ppf "btb-target[%d]" slot
   | Btb_scramble { slot } -> Fmt.pf ppf "btb-scramble[%d]" slot
+
+(* The preset each target's plans run under: one that instantiates the
+   corrupted structure (the address table under [table-*] and
+   [dual-*], the BRIC under [calc-*], R_addr under [dual-*], the BTB
+   under every preset). *)
+let preset_of_target = function
+  | Table_scramble _ | Table_pa _ -> "table-256-cc"
+  | Table_state _ | Raddr_unbind -> "dual-cc"
+  | Bric_flush | Bric_delay _ -> "calc-8"
+  | Btb_target _ | Btb_scramble _ -> "baseline"
 
 (* --- retire-stream fingerprint ---------------------------------------- *)
 
@@ -152,7 +163,7 @@ let apply pipe rng target =
         let _, entry = Addr_table.slot tbl i in
         entry.Stride_entry.state <- Stride_entry.Learning;
         entry.Stride_entry.stc <- false)
-  | Bric_flush -> (
+  | Bric_flush | Raddr_unbind -> (
     match Pipeline.bric pipe with
     | None -> false
     | Some bric ->
@@ -170,15 +181,6 @@ let apply pipe rng target =
         Bric.delay bric ~until:(Pipeline.current_cycle pipe + cycles);
         true
       end)
-  | Raddr_unbind -> (
-    match Pipeline.raddr pipe with
-    | None -> false
-    | Some raddr -> (
-      match Raddr.bound raddr with
-      | None -> false
-      | Some _ ->
-        Raddr.unbind raddr;
-        true))
   | Btb_target { slot } -> (
     let btb = Pipeline.btb pipe in
     let size = Btb.size btb in
@@ -206,7 +208,9 @@ type baseline =
   ; base_retired : int
   ; base_cycles : int }
 
-let baseline ?max_insns (cfg : Elag_sim.Config.t) program =
+(* One timed run, fingerprinting the retire stream; [after_retire]
+   sees the pipeline and the retire count after each instruction. *)
+let retire_loop ?max_insns (cfg : Elag_sim.Config.t) program ~after_retire =
   let pipe = Pipeline.create cfg in
   let pipe_obs = Pipeline.observer pipe in
   let hash = ref stream_hash_init in
@@ -214,7 +218,8 @@ let baseline ?max_insns (cfg : Elag_sim.Config.t) program =
   let obs pc insn eff taken next_pc =
     pipe_obs pc insn eff taken next_pc;
     hash := stream_hash_step !hash pc insn eff taken next_pc;
-    incr retired
+    incr retired;
+    after_retire pipe !retired
   in
   let emu = Emulator.create program in
   Emulator.run ~observer:obs ?max_insns emu;
@@ -222,6 +227,9 @@ let baseline ?max_insns (cfg : Elag_sim.Config.t) program =
   ; base_hash = !hash
   ; base_retired = !retired
   ; base_cycles = (Pipeline.stats pipe).cycles }
+
+let baseline ?max_insns cfg program =
+  retire_loop ?max_insns cfg program ~after_retire:(fun _ _ -> ())
 
 type outcome =
   { plan : plan
@@ -240,18 +248,11 @@ let run_plan ?max_insns ~baseline:(base : baseline) (cfg : Elag_sim.Config.t)
   (match plan.period with
   | Some p when p <= 0 -> invalid_arg "Fault.run_plan: non-positive period"
   | _ -> ());
-  let pipe = Pipeline.create cfg in
-  let pipe_obs = Pipeline.observer pipe in
   let rng = Xorshift.create plan.seed in
-  let hash = ref stream_hash_init in
-  let retired = ref 0 in
   let injections = ref 0 in
   let next_trigger = ref plan.first in
-  let obs pc insn eff taken next_pc =
-    pipe_obs pc insn eff taken next_pc;
-    hash := stream_hash_step !hash pc insn eff taken next_pc;
-    incr retired;
-    if !retired >= !next_trigger then begin
+  let after_retire pipe retired =
+    if retired >= !next_trigger then begin
       if apply pipe rng plan.target then incr injections;
       next_trigger :=
         (match plan.period with
@@ -259,17 +260,14 @@ let run_plan ?max_insns ~baseline:(base : baseline) (cfg : Elag_sim.Config.t)
         | None -> max_int)
     end
   in
-  let emu = Emulator.create program in
-  Emulator.run ~observer:obs ?max_insns emu;
-  let output = Emulator.output emu in
-  let faulted_cycles = (Pipeline.stats pipe).cycles in
+  let run = retire_loop ?max_insns cfg program ~after_retire in
   { plan
   ; injections = !injections
-  ; faulted_cycles
+  ; faulted_cycles = run.base_cycles
   ; clean_cycles = base.base_cycles
-  ; output_ok = String.equal output base.base_output
-  ; stream_ok = !hash = base.base_hash && !retired = base.base_retired
-  ; cycles_ok = faulted_cycles >= base.base_cycles }
+  ; output_ok = String.equal run.base_output base.base_output
+  ; stream_ok = run.base_hash = base.base_hash && run.base_retired = base.base_retired
+  ; cycles_ok = run.base_cycles >= base.base_cycles }
 
 let pp_outcome ppf o =
   Fmt.pf ppf "%-24s %a seed=%-6d inj=%-3d cycles %d -> %d  %s" o.plan.name

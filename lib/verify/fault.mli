@@ -10,6 +10,10 @@
     same program output, same retired-instruction stream — while the
     cycle count may only stay equal or increase.
 
+    The BRIC targets ([Bric_flush], [Bric_delay], [Raddr_unbind]) land
+    on whichever base-register cache the mechanism has: the N-entry
+    BRIC under [calc-N], R_addr (a one-entry BRIC) under [dual-*].
+
     Plans are deterministic end to end (seeded {!Xorshift}, retire-
     count triggers, no wall-clock anywhere), so a plan that passes once
     pins the invariant forever and the suite can run in CI. *)
@@ -28,7 +32,9 @@ type target =
   | Bric_flush  (** Evict every BRIC-resident base register. *)
   | Bric_delay of { cycles : int }
     (** Push residency validity [cycles] into the future. *)
-  | Raddr_unbind  (** Drop the R_addr binding. *)
+  | Raddr_unbind
+    (** Drop the R_addr binding: the same flush as [Bric_flush], named
+        for the one-entry cache [dual-*] has. *)
   | Btb_target of { slot : int }
     (** Redirect a valid BTB entry's target to a bogus (negative)
         address — the provably adversarial fault: a correct
@@ -49,7 +55,14 @@ val pp_target : target Fmt.t
 val target_of_string : string -> target option
 (** Parse a CLI target name — the {!pp_target} form without brackets,
     with an optional [:N] parameter ("table-scramble:17",
-    "bric-delay:8"); parameters default to slot 0 / 8 delay cycles. *)
+    "bric-delay:8"); parameters default to slot 0 / 8 delay cycles.
+    [None] for an unknown name, a parameter that is not a non-negative
+    integer, or a parameter on [bric-flush] / [raddr-unbind], which
+    take none. *)
+
+val preset_of_target : target -> string
+(** The mechanism preset a plan with this target runs under: one that
+    instantiates the structure the target corrupts. *)
 
 val target_names : string list
 (** Every parseable target name, for usage text. *)

@@ -17,7 +17,7 @@ dune exec bin/elag_experiments.exe -- table2
 echo "== report: PGP Encode / baseline =="
 dune exec bin/elag_sim_run.exe -- "PGP Encode" baseline --report json
 
-echo "== engine: parallel sweep (-j 2) =="
+echo "== emulate: every workload on the worker pool (-j 2) =="
 dune exec bin/elag_sim_run.exe -- --all -j 2
 
 echo "== verify: lint + fault-injection smoke =="

@@ -1,12 +1,11 @@
 (* Tests for the prediction structures: the Figure 3 stride state
    machine, the direct-mapped address table, the ideal per-PC
-   predictor, the BRIC, R_addr and the BTB. *)
+   predictor, the BRIC (and R_addr, its one-entry case) and the BTB. *)
 
 module Stride_entry = Elag_predict.Stride_entry
 module Addr_table = Elag_predict.Addr_table
 module Ideal = Elag_predict.Ideal
 module Bric = Elag_predict.Bric
-module Raddr = Elag_predict.Raddr
 module Btb = Elag_predict.Btb
 
 let check = Alcotest.(check int)
@@ -161,22 +160,28 @@ let test_bric_allocation_delay () =
   check_bool "peek same cycle" false (Bric.peek b ~cycle:10 3);
   check_bool "peek next cycle" true (Bric.peek b ~cycle:11 3)
 
-(* --- R_addr ---------------------------------------------------------------- *)
+(* --- R_addr: a one-entry BRIC, bound by each probe --------------------- *)
 
 let test_raddr_binding () =
-  let r = Raddr.create () in
-  check_bool "unbound" false (Raddr.peek r ~cycle:5 9);
-  Raddr.bind r ~cycle:5 9;
-  check_bool "not valid same cycle after switch" false (Raddr.peek r ~cycle:5 9);
-  check_bool "valid next cycle" true (Raddr.peek r ~cycle:6 9);
+  let r = Bric.create 1 in
+  let bind ~cycle reg = ignore (Bric.probe r ~cycle reg) in
+  check_bool "unbound" false (Bric.peek r ~cycle:5 9);
+  bind ~cycle:5 9;
+  check_bool "not valid same cycle after switch" false (Bric.peek r ~cycle:5 9);
+  check_bool "valid next cycle" true (Bric.peek r ~cycle:6 9);
   (* rebinding to the same register is free *)
-  Raddr.bind r ~cycle:8 9;
-  check_bool "same-reg rebind keeps validity" true (Raddr.peek r ~cycle:8 9);
+  bind ~cycle:8 9;
+  check_bool "same-reg rebind keeps validity" true (Bric.peek r ~cycle:8 9);
   (* switching invalidates *)
-  Raddr.bind r ~cycle:9 4;
-  check_bool "switch invalidates" false (Raddr.peek r ~cycle:9 4);
-  check_bool "old binding gone" false (Raddr.peek r ~cycle:10 9);
-  check_bool "new binding valid" true (Raddr.peek r ~cycle:10 4)
+  bind ~cycle:9 4;
+  check_bool "switch invalidates" false (Bric.peek r ~cycle:9 4);
+  check_bool "old binding gone" false (Bric.peek r ~cycle:10 9);
+  check_bool "new binding valid" true (Bric.peek r ~cycle:10 4);
+  (* the counters: three binds, one same-register hit, one switch *)
+  let st = Bric.stats r in
+  check "probes" 3 st.Bric.br_probes;
+  check "hits" 1 st.Bric.br_hits;
+  check "evictions (binding switches)" 1 st.Bric.br_evictions
 
 (* --- BTB ---------------------------------------------------------------- *)
 

@@ -251,7 +251,18 @@ let test_derived_load_counters () =
        + s.Pipeline.loads - s.Pipeline.table_successes - s.Pipeline.calc_successes);
       check (label ^ ": loads_n") by_spec.(0) s.Pipeline.loads_n;
       check (label ^ ": loads_p") by_spec.(1) s.Pipeline.loads_p;
-      check (label ^ ": loads_e") by_spec.(2) s.Pipeline.loads_e)
+      check (label ^ ": loads_e") by_spec.(2) s.Pipeline.loads_e;
+      (* the calc path's base-register cache: R_addr under dual-*, the
+         BRIC under calc-N.  Lint makes every ld_e register+offset, so
+         under dual-cc each probes R_addr exactly once. *)
+      match (cfg.Config.mechanism, Pipeline.bric_stats t) with
+      | (Config.No_early | Config.Table_only _), st ->
+        check_bool (label ^ ": no base-register cache") true (st = None)
+      | (Config.Calc_only _ | Config.Dual _), None ->
+        Alcotest.fail (label ^ ": base-register cache stats missing")
+      | Config.Dual { selection = Config.Compiler_directed; _ }, Some b ->
+        check (label ^ ": R_addr probes = loads_e") by_spec.(2) b.Bric.br_probes
+      | (Config.Calc_only _ | Config.Dual _), Some _ -> ())
 
 (* --- BRIC stats ------------------------------------------------------------ *)
 

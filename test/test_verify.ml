@@ -142,6 +142,14 @@ let test_fault_target_of_string () =
   check_bool "btb-target:3" true
     (t "btb-target:3" = Some (Fault.Btb_target { slot = 3 }));
   check_bool "unknown rejected" true (t "nonsense" = None);
+  (* a parameter must be a non-negative integer on a target that takes
+     one, never a silent default or a silently ignored value *)
+  List.iter
+    (fun s -> check_bool (s ^ " rejected") true (t s = None))
+    [ "table-scramble:xyz"; "table-scramble:-3"; "btb-target:-1"; "bric-delay:-4"
+    ; "table-pa:"; "btb-scramble:1:2"; "bric-flush:3"; "raddr-unbind:0" ];
+  check_bool "table-scramble:0" true
+    (t "table-scramble:0" = Some (Fault.Table_scramble { slot = 0 }));
   (* every advertised name parses back *)
   List.iter
     (fun name ->
