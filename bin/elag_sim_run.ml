@@ -75,14 +75,8 @@ let usage () =
 (* Unknown-name errors print the full vocabulary instead of dying with
    a bare exception. *)
 let mechanism_of_string s =
-  match Config.Mechanism.of_string s with
-  | Some m -> m
-  | None ->
-    Printf.eprintf
-      "unknown mechanism %s\nknown mechanisms: %s\n(also accepted: table-N, calc-N, dual-N-hw, dual-N-cc)\n"
-      s
-      (String.concat " " (List.map Config.Mechanism.to_string Config.Mechanism.all));
-    usage ()
+  try Config.Mechanism.of_string_exn s
+  with Invalid_argument msg -> prerr_endline msg; usage ()
 
 let find_workload name =
   try Suite.find name

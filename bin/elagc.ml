@@ -26,7 +26,7 @@ module Diag = Elag_verify.Diag
 module Pipeline = Elag_sim.Pipeline
 module Emulator = Elag_sim.Emulator
 
-type action = Summarize | Emit_ir | Emit_asm | Run | Lint | Time of string | Profile_run
+type action = Summarize | Emit_ir | Emit_asm | Run | Lint | Time of Config.mechanism | Profile_run
 
 let usage () =
   prerr_endline
@@ -36,21 +36,10 @@ let usage () =
     "  mechanisms: baseline, table-N, table-N-cc, calc-N, dual-hw, dual-cc";
   exit 1
 
+(* Unknown names print the mechanism vocabulary, as elag_sim_run does. *)
 let mechanism_of_string s =
-  let starts p = String.length s > String.length p && String.sub s 0 (String.length p) = p in
-  let suffix p = String.sub s (String.length p) (String.length s - String.length p) in
-  match s with
-  | "baseline" -> Config.No_early
-  | "dual-hw" -> Config.Dual { table_entries = 256; selection = Config.Hardware_selected }
-  | "dual-cc" -> Config.Dual { table_entries = 256; selection = Config.Compiler_directed }
-  | _ when starts "table-" ->
-    let rest = suffix "table-" in
-    (match String.split_on_char '-' rest with
-    | [ n ] -> Config.Table_only { entries = int_of_string n; compiler_filtered = false }
-    | [ n; "cc" ] -> Config.Table_only { entries = int_of_string n; compiler_filtered = true }
-    | _ -> usage ())
-  | _ when starts "calc-" -> Config.Calc_only { bric_entries = int_of_string (suffix "calc-") }
-  | _ -> usage ()
+  try Config.Mechanism.of_string_exn s
+  with Invalid_argument msg -> prerr_endline msg; usage ()
 
 let summarize program =
   let loads = Program.static_loads program in
@@ -93,7 +82,7 @@ let () =
     | "-emit-asm" :: rest -> action := Emit_asm; parse rest
     | "-run" :: rest -> action := Run; parse rest
     | ("-lint" | "--lint") :: rest -> action := Lint; parse rest
-    | "-time" :: mech :: rest -> action := Time mech; parse rest
+    | "-time" :: mech :: rest -> action := Time (mechanism_of_string mech); parse rest
     | "-profile" :: rest -> action := Profile_run; parse rest
     | arg :: rest when String.length arg > 0 && arg.[0] <> '-' ->
       file := Some arg; parse rest
@@ -130,7 +119,7 @@ let () =
       if not (Lint.ok report) then exit 1
     | Time mech ->
       let program = Compile.compile ~options source in
-      let cfg = Config.with_mechanism (mechanism_of_string mech) Config.default in
+      let cfg = Config.with_mechanism mech Config.default in
       let stats, _ = Pipeline.simulate cfg program in
       print_stats stats
     | Profile_run ->

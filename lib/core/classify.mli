@@ -14,25 +14,12 @@
     Cyclic code is analyzed per natural loop, inner loops first; a load
     is classified by its innermost enclosing loop.  The S_load set is
     the fixpoint closure of load destinations through arithmetic
-    operations, exactly as in the paper. *)
+    operations, exactly as in the paper.  DESIGN.md, "Load
+    classification", states the rule in full. *)
 
-module Ir = Elag_ir.Ir
+val run_func : ?summaries:Elag_opt.Purity.t -> Elag_ir.Ir.func -> unit
+(** Classify every load of the function in place.  Without [summaries]
+    every call result is taken as load-derived. *)
 
-val s_load_of_insts :
-  ?summaries:Elag_opt.Purity.t -> Ir.inst list -> Set.Make(Int).t
-(** Steps 1–2 of the cyclic heuristic over a loop body's instructions:
-    destinations of loads (and of calls, conservatively — unless the
-    summaries prove the callee returns pure arithmetic), closed over
-    arithmetic operations.  Exposed for testing. *)
-
-val run_func : ?summaries:Elag_opt.Purity.t -> Ir.func -> unit
-(** Classify every load of the function in place. *)
-
-val run : ?interprocedural:bool -> Ir.program -> unit
-(** Classify the whole program; [interprocedural] (default true)
-    computes {!Elag_opt.Purity} summaries first. *)
-
-val clear_func : Ir.func -> unit
-(** Reset every load to [Ld_n] (the no-compiler-support baseline). *)
-
-val clear : Ir.program -> unit
+val run : Elag_ir.Ir.program -> unit
+(** Classify the whole program, with {!Elag_opt.Purity} summaries. *)

@@ -5,7 +5,6 @@
 module Parser = Elag_minic.Parser
 module Sema = Elag_minic.Sema
 module Lower = Elag_ir.Lower
-module Ir = Elag_ir.Ir
 module Opt_driver = Elag_opt.Driver
 module Classify = Elag_core.Classify
 module Codegen = Elag_codegen.Codegen
@@ -51,7 +50,7 @@ let to_ir ?(options = default_options) source =
   in
   (match options.classification with
   | Heuristics -> Classify.run ir
-  | No_classification -> Classify.clear ir);
+  | No_classification -> () (* lowering emits every load as ld_n and no pass sets a spec *));
   ir
 
 let compile ?(options = default_options) source : Program.t =

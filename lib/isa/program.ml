@@ -13,8 +13,7 @@ type t =
   ; symbols : (string, int) Hashtbl.t  (* code label -> instruction index *)
   ; entry : int
   ; data_image : (int * string) list
-  ; heap_base : int
-  ; source : item list }
+  ; heap_base : int }
 
 exception Unknown_label of string
 
@@ -65,8 +64,7 @@ let assemble ?(entry = "_start") ~layout items =
   ; symbols
   ; entry = resolve entry
   ; data_image = Layout.image layout
-  ; heap_base = Layout.heap_base layout
-  ; source = items }
+  ; heap_base = Layout.heap_base layout }
 
 let length t = Array.length t.code
 

@@ -4,10 +4,6 @@
    detection and the paper's load-classification heuristics key on. *)
 
 module Ir = Elag_ir.Ir
-module Cfg = Elag_ir.Cfg
-module Dominators = Elag_ir.Dominators
-module Loops = Elag_ir.Loops
-module Liveness = Elag_ir.Liveness
 
 let run (f : Ir.func) =
   let counts = Use_counts.compute f in

@@ -36,8 +36,6 @@ let optimize_func ?(level = O2) (f : Ir.func) =
     ignore (Strength_reduce.run f);
     fixpoint scalar_round f;
     ignore (Addr_promote.run f);
-    fixpoint scalar_round f;
-    ignore (Licm.run f);
     fixpoint scalar_round f
 
 let optimize ?(level = O2) ?(inline_threshold = Inline.default_threshold)

@@ -7,10 +7,6 @@
    loads to be classified conservatively. *)
 
 module Ir = Elag_ir.Ir
-module Cfg = Elag_ir.Cfg
-module Dominators = Elag_ir.Dominators
-module Loops = Elag_ir.Loops
-module Liveness = Elag_ir.Liveness
 
 let default_threshold = 40
 

@@ -13,10 +13,6 @@
    own forwarding entry). *)
 
 module Ir = Elag_ir.Ir
-module Cfg = Elag_ir.Cfg
-module Dominators = Elag_ir.Dominators
-module Loops = Elag_ir.Loops
-module Liveness = Elag_ir.Liveness
 
 module Insn = Elag_isa.Insn
 module Alu = Elag_isa.Alu

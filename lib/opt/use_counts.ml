@@ -2,10 +2,6 @@
    several passes. *)
 
 module Ir = Elag_ir.Ir
-module Cfg = Elag_ir.Cfg
-module Dominators = Elag_ir.Dominators
-module Loops = Elag_ir.Loops
-module Liveness = Elag_ir.Liveness
 
 type t =
   { uses : (Ir.vreg, int) Hashtbl.t

@@ -43,8 +43,10 @@ let find_way t line =
   done;
   if !i < stop then !i else -1
 
+let line t addr = addr lsr t.line_bits
+
 (* Pure hit test: no statistics, no fill, no LRU update. *)
-let probe t addr = find_way t (addr lsr t.line_bits) >= 0
+let probe t addr = find_way t (line t addr) >= 0
 
 let victim_way t set =
   let base = set * t.ways in
@@ -58,7 +60,7 @@ let victim_way t set =
 let access t addr =
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
-  let line = addr lsr t.line_bits in
+  let line = line t addr in
   let i = find_way t line in
   if i >= 0 then begin
     t.stamps.(i) <- t.clock;
@@ -76,7 +78,7 @@ let access t addr =
 let access_store t addr =
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
-  let i = find_way t (addr lsr t.line_bits) in
+  let i = find_way t (line t addr) in
   if i >= 0 then begin
     t.stamps.(i) <- t.clock;
     true

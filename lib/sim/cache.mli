@@ -7,6 +7,10 @@ type t
 
 val create : ?ways:int -> size_bytes:int -> line_bytes:int -> unit -> t
 
+val line : t -> int -> int
+(** The line an address falls in: addresses share a line exactly when
+    their [line]s are equal. *)
+
 val probe : t -> int -> bool
 (** Pure hit test: no statistics, no fill.  Used when evaluating
     speculative accesses during issue-cycle search. *)

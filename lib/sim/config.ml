@@ -93,7 +93,7 @@ module Mechanism = struct
       ; Dual { table_entries = 256; selection = Compiler_directed } ]
 
   let of_string s =
-    let int p = int_of_string_opt p in
+    let int p = match int_of_string_opt p with Some n when n > 0 -> Some n | _ -> None in
     match String.split_on_char '-' s with
     | [ "baseline" ] -> Some No_early
     | [ "dual"; "hw" ] -> Some (Dual { table_entries = 256; selection = Hardware_selected })

@@ -81,13 +81,11 @@ let fresh_stats () =
 type load_site =
   { site_pc : int
   ; site_spec : Insn.load_spec
-  ; mutable site_count : int
   ; mutable site_table_attempts : int
   ; mutable site_table_successes : int
   ; mutable site_calc_attempts : int
   ; mutable site_calc_successes : int
   ; mutable site_wasted_spec : int
-  ; mutable site_latency_sum : int
   ; mutable site_dcache_misses : int
   ; site_latency : Histogram.t }
 
@@ -117,13 +115,11 @@ type decoded =
 let new_site pc spec =
   { site_pc = pc
   ; site_spec = spec
-  ; site_count = 0
   ; site_table_attempts = 0
   ; site_table_successes = 0
   ; site_calc_attempts = 0
   ; site_calc_successes = 0
   ; site_wasted_spec = 0
-  ; site_latency_sum = 0
   ; site_dcache_misses = 0
   ; site_latency = Histogram.create ~bounds:Histogram.load_latency_bounds }
 
@@ -550,7 +546,6 @@ let process t pc insn eff taken next_pc =
   (* loads *)
   if d.is_load then begin
     let site = d.site in
-    site.site_count <- site.site_count + 1;
     let path = t.sel_path in
     (* commit structure probes: the decode-stage table probe (counted
        here, once, at the chosen cycle), or the calc path's probe of
@@ -572,7 +567,7 @@ let process t pc insn eff taken next_pc =
       let spec_addr = t.ev_addr in
       (* a correct-address speculative miss starts the fill early; the
          normal access below merges with the in-flight fill *)
-      if (not (Cache.access t.dcache spec_addr)) && spec_addr lsr 6 = eff lsr 6 then
+      if (not (Cache.access t.dcache spec_addr)) && Cache.line t.dcache spec_addr = Cache.line t.dcache eff then
         spec_missed_same_line := true;
       (match path with
       | Table_path ->
@@ -599,7 +594,6 @@ let process t pc insn eff taken next_pc =
         else t.cfg.load_latency + (if hit then 0 else t.cfg.miss_penalty)
       end
     in
-    site.site_latency_sum <- site.site_latency_sum + lat;
     if !load_missed then site.site_dcache_misses <- site.site_dcache_misses + 1;
     Histogram.observe site.site_latency lat;
     latency := lat;
@@ -702,7 +696,7 @@ let stats t =
   in
   List.iter
     (fun site ->
-      let n = site.site_count in
+      let n = Histogram.count site.site_latency in
       s.loads <- s.loads + n;
       (match site.site_spec with
       | Insn.Ld_n -> s.loads_n <- s.loads_n + n
@@ -713,7 +707,7 @@ let stats t =
       s.calc_attempts <- s.calc_attempts + site.site_calc_attempts;
       s.calc_successes <- s.calc_successes + site.site_calc_successes;
       s.wasted_spec <- s.wasted_spec + site.site_wasted_spec;
-      s.load_latency_sum <- s.load_latency_sum + site.site_latency_sum)
+      s.load_latency_sum <- s.load_latency_sum + Histogram.sum site.site_latency)
     (load_sites t);
   s
 

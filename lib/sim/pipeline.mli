@@ -40,15 +40,15 @@ type stats =
 type load_site =
   { site_pc : int  (** static PC of the load *)
   ; site_spec : Elag_isa.Insn.load_spec  (** static specifier *)
-  ; mutable site_count : int  (** dynamic executions *)
   ; mutable site_table_attempts : int
   ; mutable site_table_successes : int
   ; mutable site_calc_attempts : int
   ; mutable site_calc_successes : int
   ; mutable site_wasted_spec : int
-  ; mutable site_latency_sum : int
   ; mutable site_dcache_misses : int
-  ; site_latency : Elag_telemetry.Histogram.t }
+  ; site_latency : Elag_telemetry.Histogram.t
+    (** one observation per dynamic execution: its [count] is the
+        execution count, its [sum] the total latency *) }
 (** Per-static-load telemetry: one record per load PC, so a
     reproduction gap ("this workload speeds up less than the paper")
     can be localized to the individual loads that misbehave. *)

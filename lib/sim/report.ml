@@ -47,7 +47,7 @@ let site_json (site : Pipeline.load_site) =
   Json.Obj
     [ ("pc", Json.Int site.Pipeline.site_pc)
     ; ("spec", Json.String (spec_name site.Pipeline.site_spec))
-    ; ("count", Json.Int site.Pipeline.site_count)
+    ; ("count", Json.Int (Histogram.count site.Pipeline.site_latency))
     ; ("table_attempts", Json.Int site.Pipeline.site_table_attempts)
     ; ("table_successes", Json.Int site.Pipeline.site_table_successes)
     ; ("calc_attempts", Json.Int site.Pipeline.site_calc_attempts)
@@ -56,8 +56,8 @@ let site_json (site : Pipeline.load_site) =
     ; ("dcache_misses", Json.Int site.Pipeline.site_dcache_misses)
     ; ( "avg_latency"
       , Json.Float
-          (float_of_int site.Pipeline.site_latency_sum
-          /. float_of_int (max 1 site.Pipeline.site_count)) )
+          (float_of_int (Histogram.sum site.Pipeline.site_latency)
+          /. float_of_int (max 1 (Histogram.count site.Pipeline.site_latency))) )
     ; ("latency", Histogram.to_json site.Pipeline.site_latency) ]
 
 let predictors_json t =
@@ -128,9 +128,9 @@ let to_csv ?(meta = []) t =
         (Printf.sprintf "%d,%s,%d,%d,%d,%d,%d,%d,%d,%d\n"
            site.Pipeline.site_pc
            (spec_name site.Pipeline.site_spec)
-           site.Pipeline.site_count site.Pipeline.site_table_attempts
+           (Histogram.count site.Pipeline.site_latency) site.Pipeline.site_table_attempts
            site.Pipeline.site_table_successes site.Pipeline.site_calc_attempts
            site.Pipeline.site_calc_successes site.Pipeline.site_wasted_spec
-           site.Pipeline.site_dcache_misses site.Pipeline.site_latency_sum))
+           site.Pipeline.site_dcache_misses (Histogram.sum site.Pipeline.site_latency)))
     (Pipeline.load_sites t);
   Buffer.contents buf

@@ -21,7 +21,6 @@
    adversarial (lost predictions, misdirected BTB targets), and
    determinism makes the once-verified inequality permanent. *)
 
-module Insn = Elag_isa.Insn
 module Pipeline = Elag_sim.Pipeline
 module Emulator = Elag_sim.Emulator
 module Addr_table = Elag_predict.Addr_table

@@ -133,7 +133,8 @@ let test_emitted_program_shape () =
 (* --- golden listings ------------------------------------------------------- *)
 
 (* The MD5 of every compiled listing: each workload at O0, O1 and at O2
-   with unroll factors 0, 4 and 8, plus one digest over the listings of
+   with unroll factors 0, 4 and 8, with the heuristics and (suffix
+   "-nc") without classification, plus one digest over the listings of
    [Gen.minic] seeds 0-199.  Any change to what the compiler emits moves
    a digest; an analysis or pass rewrite that must not change code is
    checked by this file staying put.  Regenerate with the hook described
@@ -145,12 +146,19 @@ let listing_digest ~options source =
 let golden_listings () =
   let module Json = Elag_telemetry.Json in
   let module Driver = Elag_opt.Driver in
-  let at opt_level unroll_factor =
-    { Compile.default_options with opt_level; unroll_factor }
+  let levels =
+    [ ("O0", Driver.O0, 0); ("O1", Driver.O1, 0); ("O2-u0", Driver.O2, 0)
+    ; ("O2-u4", Driver.O2, 4); ("O2-u8", Driver.O2, 8) ]
   in
   let configs =
-    [ ("O0", at Driver.O0 0); ("O1", at Driver.O1 0); ("O2-u0", at Driver.O2 0)
-    ; ("O2-u4", at Driver.O2 4); ("O2-u8", at Driver.O2 8) ]
+    List.concat_map
+      (fun (suffix, classification) ->
+        List.map
+          (fun (name, opt_level, unroll_factor) ->
+            ( name ^ suffix
+            , { Compile.default_options with opt_level; unroll_factor; classification } ))
+          levels)
+      [ ("", Compile.Heuristics); ("-nc", Compile.No_classification) ]
   in
   let workloads =
     List.map

@@ -467,6 +467,9 @@ let test_mechanism_roundtrip () =
     = Some (Config.Table_only { entries = 128; compiler_filtered = false }));
   check_bool "unknown rejected" true (Config.Mechanism.of_string "bogus-64" = None);
   check_bool "non-numeric rejected" true (Config.Mechanism.of_string "table-x" = None);
+  List.iter
+    (fun name -> check_bool (name ^ " rejected") true (Config.Mechanism.of_string name = None))
+    [ "calc-0"; "table-0"; "dual-0-cc" ];
   check_bool "grid is duplicate-free" true
     (List.length Config.Mechanism.all
     = List.length (List.sort_uniq compare Config.Mechanism.all))

@@ -213,9 +213,9 @@ let test_load_sites_account () =
   let sites = Pipeline.load_sites t in
   check_bool "has sites" true (sites <> []);
   check "site counts sum to loads" s.Pipeline.loads
-    (List.fold_left (fun acc site -> acc + site.Pipeline.site_count) 0 sites);
+    (List.fold_left (fun acc site -> acc + Histogram.count site.Pipeline.site_latency) 0 sites);
   check "site latency sums to total" s.Pipeline.load_latency_sum
-    (List.fold_left (fun acc site -> acc + site.Pipeline.site_latency_sum) 0 sites);
+    (List.fold_left (fun acc site -> acc + Histogram.sum site.Pipeline.site_latency) 0 sites);
   check "aggregate histogram covers every load" s.Pipeline.loads
     (Histogram.count (Pipeline.load_latency_histogram t));
   check "site attempts sum to table attempts" s.Pipeline.table_attempts
