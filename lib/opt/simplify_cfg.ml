@@ -9,6 +9,9 @@
 module Ir = Elag_ir.Ir
 module Cfg = Elag_ir.Cfg
 
+(* [fold_branch] and [retarget_term] return their argument itself when
+   they leave it as it is, so [run] detects a change by physical
+   inequality instead of a structural compare of every terminator. *)
 let fold_branch (t : Ir.terminator) =
   match t with
   | Ir.Br { cond; src1 = Ir.Imm a; src2 = Ir.Imm b; ifso; ifnot } ->
@@ -43,32 +46,33 @@ let thread_target f =
   in
   chase []
 
-let retarget_term thread = function
-  | Ir.Jmp l -> Ir.Jmp (thread l)
-  | Ir.Br b -> Ir.Br { b with ifso = thread b.ifso; ifnot = thread b.ifnot }
-  | Ir.Ret _ as t -> t
+let retarget_term thread (t : Ir.terminator) =
+  match t with
+  | Ir.Jmp l ->
+    let l' = thread l in
+    if String.equal l' l then t else Ir.Jmp l'
+  | Ir.Br b ->
+    let ifso = thread b.ifso and ifnot = thread b.ifnot in
+    if String.equal ifso b.ifso && String.equal ifnot b.ifnot then t
+    else Ir.Br { b with ifso; ifnot }
+  | Ir.Ret _ -> t
+
+let rewrite_terms changed rewrite (f : Ir.func) =
+  List.iter
+    (fun (b : Ir.block) ->
+      let t' = rewrite b.term in
+      if t' != b.term then begin
+        b.term <- t';
+        changed := true
+      end)
+    f.Ir.blocks
 
 let run (f : Ir.func) =
   let changed = ref false in
   (* 1. fold constant branches *)
-  List.iter
-    (fun (b : Ir.block) ->
-      let t' = fold_branch b.term in
-      if t' <> b.term then begin
-        b.term <- t';
-        changed := true
-      end)
-    f.Ir.blocks;
+  rewrite_terms changed fold_branch f;
   (* 2. thread forwarding blocks *)
-  let thread = thread_target f in
-  List.iter
-    (fun (b : Ir.block) ->
-      let t' = retarget_term thread b.term in
-      if t' <> b.term then begin
-        b.term <- t';
-        changed := true
-      end)
-    f.Ir.blocks;
+  rewrite_terms changed (retarget_term (thread_target f)) f;
   (* 3. delete unreachable blocks *)
   let cfg = Cfg.of_func f in
   let reachable = List.filteri (fun i _ -> Cfg.reachable cfg i) f.Ir.blocks in

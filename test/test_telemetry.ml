@@ -264,6 +264,85 @@ let test_derived_load_counters () =
         check (label ^ ": R_addr probes = loads_e") by_spec.(2) b.Bric.br_probes
       | (Config.Calc_only _ | Config.Dual _), Some _ -> ())
 
+(* --- specifier insensitivity ------------------------------------------------ *)
+
+(* [select_path] is the only reader of a decoded load's specifier, and
+   only under filtered [Table_only] and compiler-directed [Dual]; the
+   [stats] split into [loads_n/p/e] is the only reader of a site's.  So
+   under every other mechanism, rewriting every load to one specifier
+   must leave everything else a run reports unchanged. *)
+let spec_blind_mechanisms =
+  List.filter
+    (function
+      | Config.Table_only { compiler_filtered = true; _ }
+      | Config.Dual { selection = Config.Compiler_directed; _ } -> false
+      | Config.No_early | Config.Table_only _ | Config.Calc_only _ | Config.Dual _ -> true)
+    Config.Mechanism.all
+
+(* Two compiled workloads cut at their first 200 K retires, then
+   seeded random programs run to completion. *)
+let spec_subjects =
+  lazy
+    (List.map (fun name -> (name, program_of name, 200_000)) [ "072.sc"; "PGP Encode" ]
+    @ List.init 20 (fun seed ->
+          let g = Gen.program seed in
+          (Printf.sprintf "gen seed %d" seed, g.Gen.program, g.Gen.budget)))
+
+let run_capped mech program max_insns =
+  let t = Pipeline.create (Config.with_mechanism mech Config.default) in
+  (try ignore (Elag_sim.Emulator.run_program ~observer:(Pipeline.observer t) ~max_insns program)
+   with Elag_sim.Emulator.Runaway _ -> ());
+  t
+
+(* Everything a run reports except the per-specifier load split. *)
+let spec_blind_view t =
+  let s = Pipeline.stats t in
+  let site_counters (site : Pipeline.load_site) =
+    ( site.site_pc
+    , [ site.site_table_attempts; site.site_table_successes; site.site_calc_attempts
+      ; site.site_calc_successes; site.site_wasted_spec; site.site_dcache_misses ]
+    , Histogram.bucket_counts site.site_latency
+    , Histogram.sum site.site_latency )
+  in
+  ( { s with loads_n = 0; loads_p = 0; loads_e = 0 }
+  , Pipeline.busy_cycles t
+  , Pipeline.stall_breakdown t
+  , Pipeline.bric_stats t
+  , Pipeline.table_stats t
+  , List.map site_counters (Pipeline.load_sites t) )
+
+let respecify spec program = Program.map_insns (fun _ insn -> Insn.with_load_spec spec insn) program
+
+let all_specs = [ Insn.Ld_n; Insn.Ld_p; Insn.Ld_e ]
+
+let test_spec_insensitivity () =
+  let subjects = Lazy.force spec_subjects in
+  List.iter
+    (fun (name, program, max_insns) ->
+      List.iter
+        (fun mech ->
+          let reference = spec_blind_view (run_capped mech program max_insns) in
+          List.iter
+            (fun spec ->
+              let label =
+                Fmt.str "%s/%s as %a" name (Config.Mechanism.to_string mech) Insn.pp_load_spec spec
+              in
+              check_bool (label ^ ": unchanged") true
+                (spec_blind_view (run_capped mech (respecify spec program) max_insns) = reference))
+            all_specs)
+        spec_blind_mechanisms)
+    subjects;
+  (* Positive control: compiler-directed selection does read the
+     specifiers, so the same rewrites must move its cycle count. *)
+  let dual_cc = Config.Dual { table_entries = 256; selection = Config.Compiler_directed } in
+  let cycles program max_insns = (Pipeline.stats (run_capped dual_cc program max_insns)).cycles in
+  check_bool "dual-256-cc: some rewrite moves cycles" true
+    (List.exists
+       (fun (_, program, max_insns) ->
+         let original = cycles program max_insns in
+         List.exists (fun spec -> cycles (respecify spec program) max_insns <> original) all_specs)
+       subjects)
+
 (* --- BRIC stats ------------------------------------------------------------ *)
 
 let test_bric_stats () =
@@ -351,6 +430,7 @@ let suite =
   ; Alcotest.test_case "pipeline: load sites account" `Quick test_load_sites_account
   ; Alcotest.test_case "pipeline: derived load counters" `Quick
       test_derived_load_counters
+  ; Alcotest.test_case "pipeline: specifier insensitivity" `Quick test_spec_insensitivity
   ; Alcotest.test_case "bric: stats" `Quick test_bric_stats
   ; Alcotest.test_case "bric: surfaced" `Quick test_bric_stats_surfaced
   ; Alcotest.test_case "report: golden file" `Quick test_golden_report
