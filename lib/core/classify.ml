@@ -68,9 +68,10 @@ let s_load_of_insts ?summaries insts =
    loads whose address is [predictable] get [Ld_p]; of the rest, the
    register+offset loads off the base register with the most of them
    get [Ld_e], and everything else [Ld_n].  Between equal groups the
-   first one [Hashtbl.fold] meets wins. *)
+   first one [Hashtbl.fold] meets wins; [~random:false] keeps that
+   order fixed under OCAMLRUNPARAM=R. *)
 let classify_region ~predictable (blocks : Ir.block list) =
-  let groups = Hashtbl.create 8 in
+  let groups = Hashtbl.create ~random:false 8 in
   List.iter
     (fun (b : Ir.block) ->
       List.iter

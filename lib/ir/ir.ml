@@ -139,29 +139,50 @@ let successors = function
   | Br { ifso; ifnot; _ } -> [ ifso; ifnot ]
   | Ret _ -> []
 
-(* Substitute virtual registers in operand (use) positions. *)
+(* Substitution in use positions: [subst] maps a register to the
+   operand that replaces it, [Reg v] itself when [v] stays.  A constant
+   reaching an address folds into it: a constant base makes an absolute
+   address, one constant in a [Base_index] becomes the displacement. *)
 let map_operand subst = function
   | Reg v -> subst v
   | Imm _ as op -> op
 
-let map_address subst_reg = function
-  | Base (b, d) -> Base (subst_reg b, d)
-  | Base_index (b, i) -> Base_index (subst_reg b, subst_reg i)
+let subst_address subst = function
+  | Base (b, d) -> (match subst b with Reg w -> Base (w, d) | Imm n -> Abs (n + d))
+  | Base_index (b, i) -> begin
+    match (subst b, subst i) with
+    | Reg b, Reg i -> Base_index (b, i)
+    | Reg b, Imm n | Imm n, Reg b -> Base (b, n)
+    | Imm a, Imm b -> Abs (a + b)
+  end
   | (Abs _ | Abs_sym _) as a -> a
 
-let map_inst_uses ~operand ~reg = function
-  | Bin (op, d, a, b) -> Bin (op, d, map_operand operand a, map_operand operand b)
-  | Mov (d, a) -> Mov (d, map_operand operand a)
-  | Load l -> Load { l with addr = map_address reg l.addr }
+let map_inst_uses subst = function
+  | Bin (op, d, a, b) -> Bin (op, d, map_operand subst a, map_operand subst b)
+  | Mov (d, a) -> Mov (d, map_operand subst a)
+  | Load l -> Load { l with addr = subst_address subst l.addr }
   | Store s ->
-    Store { s with src = map_operand operand s.src; addr = map_address reg s.addr }
-  | Call c -> Call { c with args = List.map (map_operand operand) c.args }
+    Store { s with src = map_operand subst s.src; addr = subst_address subst s.addr }
+  | Call c -> Call { c with args = List.map (map_operand subst) c.args }
   | (Global_addr _ | Slot_addr _) as i -> i
 
-let map_term_uses ~operand = function
-  | Br b -> Br { b with src1 = map_operand operand b.src1; src2 = map_operand operand b.src2 }
-  | Ret (Some op) -> Ret (Some (map_operand operand op))
+let map_term_uses subst = function
+  | Br b -> Br { b with src1 = map_operand subst b.src1; src2 = map_operand subst b.src2 }
+  | Ret (Some op) -> Ret (Some (map_operand subst op))
   | (Jmp _ | Ret None) as t -> t
+
+(* Rewrite successor labels; the terminator itself comes back when no
+   label changes, so callers can test for a change physically. *)
+let map_term_labels rename t =
+  match t with
+  | Jmp l ->
+    let l' = rename l in
+    if String.equal l' l then t else Jmp l'
+  | Br b ->
+    let ifso = rename b.ifso and ifnot = rename b.ifnot in
+    if String.equal ifso b.ifso && String.equal ifnot b.ifnot then t
+    else Br { b with ifso; ifnot }
+  | Ret _ -> t
 
 (* Loads and stores may touch memory; calls may too (and have other side
    effects).  Used by dead-code elimination. *)

@@ -106,14 +106,24 @@ val successors : terminator -> string list
 (** Successor block labels, in branch order (taken first). *)
 
 val map_operand : (vreg -> operand) -> operand -> operand
-val map_address : (vreg -> vreg) -> address -> address
+(** Substitute the register of a [Reg] operand; the function returns
+    [Reg v] itself for a register that stays. *)
 
-val map_inst_uses :
-  operand:(vreg -> operand) -> reg:(vreg -> vreg) -> inst -> inst
-(** Substitute use positions: [operand] rewrites value operands,
-    [reg] rewrites address registers (which must stay registers). *)
+val subst_address : (vreg -> operand) -> address -> address
+(** Substitute address registers.  A constant base folds into the
+    address: [Base] becomes [Abs]; [Base_index] with one constant
+    becomes [Base], with two [Abs].  [Abs] and [Abs_sym] are returned
+    as they are. *)
 
-val map_term_uses : operand:(vreg -> operand) -> terminator -> terminator
+val map_inst_uses : (vreg -> operand) -> inst -> inst
+(** Substitute every use position: operands through {!map_operand},
+    addresses through {!subst_address}.  Definitions stay. *)
+
+val map_term_uses : (vreg -> operand) -> terminator -> terminator
+
+val map_term_labels : (string -> string) -> terminator -> terminator
+(** Rename successor labels.  Returns the terminator itself (physically)
+    when no label changes. *)
 
 val has_side_effect : inst -> bool
 (** Stores and calls; everything else is pure and removable when dead. *)

@@ -23,7 +23,9 @@ let target_label = function
   | _ -> None
 
 let assemble ?(entry = "_start") ~layout items =
-  let symbols = Hashtbl.create 256 in
+  (* [~random:false] here and in [labels_at]: the order of labels
+     sharing an index in a listing follows these tables *)
+  let symbols = Hashtbl.create ~random:false 256 in
   let count =
     List.fold_left
       (fun idx item ->
@@ -86,7 +88,7 @@ let symbol t label =
 (* Reverse map from instruction index to the labels placed on it, for
    disassembly listings. *)
 let labels_at t =
-  let map = Hashtbl.create 64 in
+  let map = Hashtbl.create ~random:false 64 in
   Hashtbl.iter (fun l idx -> Hashtbl.add map idx l) t.symbols;
   fun idx -> Hashtbl.find_all map idx
 

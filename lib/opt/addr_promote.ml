@@ -31,16 +31,6 @@ module Loops = Elag_ir.Loops
    {!Strength_reduce}. *)
 let find_ivs = Strength_reduce.find_basic_ivs
 
-let loop_def_set (loop : Loops.loop) =
-  let tbl = Hashtbl.create 32 in
-  Array.iter
-    (fun i ->
-      List.iter
-        (fun inst -> List.iter (fun d -> Hashtbl.replace tbl d ()) (Ir.inst_defs inst))
-        (Cfg.block loop.Loops.cfg i).Ir.insts)
-    loop.Loops.body;
-  tbl
-
 let run_loop (f : Ir.func) (loop : Loops.loop) =
   let cfg = Cfg.of_func f in
   match Loops.rebase cfg loop with
@@ -48,7 +38,7 @@ let run_loop (f : Ir.func) (loop : Loops.loop) =
   | Some loop ->
     let dom = Dominators.compute cfg in
     let ivs = find_ivs dom loop in
-    let defs_in_loop = loop_def_set loop in
+    let defs_in_loop = Licm.loop_def_counts loop in
     let invariant v = not (Hashtbl.mem defs_in_loop v) in
     let iv_of x =
       List.find_opt (fun (iv : Strength_reduce.basic_iv) -> iv.iv = x) ivs
@@ -100,16 +90,8 @@ let run_loop (f : Ir.func) (loop : Loops.loop) =
         let pre = Lazy.force preheader in
         pre.Ir.insts <-
           pre.Ir.insts @ [ Ir.Bin (Ir.Add, p, Ir.Reg b, Ir.Reg iv.Strength_reduce.iv) ];
-        let upd_block = Cfg.block cfg iv.Strength_reduce.update_block in
-        let bump = Ir.Bin (Ir.Add, p, Ir.Reg p, Ir.Imm iv.Strength_reduce.step) in
-        let rec insert_after = function
-          | [] ->
-            invalid_arg "Addr_promote: induction-variable update vanished"
-          | inst :: rest when inst == iv.Strength_reduce.update_inst ->
-            inst :: bump :: rest
-          | inst :: rest -> inst :: insert_after rest
-        in
-        upd_block.Ir.insts <- insert_after upd_block.Ir.insts)
+        Strength_reduce.insert_after_update loop iv
+          (Ir.Bin (Ir.Add, p, Ir.Reg p, Ir.Imm iv.Strength_reduce.step)))
       !pending;
     !changed
 

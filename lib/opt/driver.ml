@@ -53,11 +53,7 @@ let optimize ?(level = O2) ?(inline_threshold = Inline.default_threshold)
     if unroll_factor >= 2 then
       List.iter
         (fun f ->
-          if Unroll.run ~factor:unroll_factor f then begin
-            fixpoint scalar_round f;
-            ignore (Addr_promote.run f);
-            fixpoint scalar_round f
-          end)
+          if Unroll.run ~factor:unroll_factor f then fixpoint scalar_round f)
         p.Ir.funcs
   end;
   p

@@ -63,40 +63,17 @@ let inline_site (caller : Ir.func) (block : Ir.block) (call_inst : Ir.inst)
       Hashtbl.replace slot_map s.Ir.slot_id ns)
     callee.Ir.slots;
   let continuation = rl "cont" in
-  let rename_operand = function Ir.Reg v -> Ir.Reg (rv v) | Ir.Imm _ as o -> o in
-  let rename_address = function
-    | Ir.Base (b, d) -> Ir.Base (rv b, d)
-    | Ir.Base_index (b, i) -> Ir.Base_index (rv b, rv i)
-    | (Ir.Abs _ | Ir.Abs_sym _) as a -> a
-  in
-  let rename_inst = function
-    | Ir.Bin (op, d, a, b) -> Ir.Bin (op, rv d, rename_operand a, rename_operand b)
-    | Ir.Mov (d, a) -> Ir.Mov (rv d, rename_operand a)
-    | Ir.Load l -> Ir.Load { l with dst = rv l.dst; addr = rename_address l.addr }
-    | Ir.Store s ->
-      Ir.Store { s with src = rename_operand s.src; addr = rename_address s.addr }
-    | Ir.Call c ->
-      Ir.Call
-        { c with
-          dst = Option.map rv c.dst
-        ; args = List.map rename_operand c.args }
+  let rename v = Ir.Reg (rv v) in
+  (* uses through [rename], then the definition *)
+  let rename_inst inst =
+    match Ir.map_inst_uses rename inst with
+    | Ir.Bin (op, d, a, b) -> Ir.Bin (op, rv d, a, b)
+    | Ir.Mov (d, a) -> Ir.Mov (rv d, a)
+    | Ir.Load l -> Ir.Load { l with dst = rv l.dst }
+    | Ir.Store _ as s -> s
+    | Ir.Call c -> Ir.Call { c with dst = Option.map rv c.dst }
     | Ir.Global_addr (d, l) -> Ir.Global_addr (rv d, l)
     | Ir.Slot_addr (d, s) -> Ir.Slot_addr (rv d, Hashtbl.find slot_map s)
-  in
-  let rename_term = function
-    | Ir.Jmp l -> Ir.Jmp (rl l)
-    | Ir.Br b ->
-      Ir.Br
-        { b with
-          src1 = rename_operand b.src1
-        ; src2 = rename_operand b.src2
-        ; ifso = rl b.ifso
-        ; ifnot = rl b.ifnot }
-    | Ir.Ret op ->
-      (* return becomes an assignment to the call destination followed
-         by a jump to the continuation *)
-      ignore op;
-      assert false
   in
   let copied_blocks =
     List.map
@@ -104,14 +81,19 @@ let inline_site (caller : Ir.func) (block : Ir.block) (call_inst : Ir.inst)
         let insts = List.map rename_inst b.Ir.insts in
         match b.Ir.term with
         | Ir.Ret op ->
+          (* return becomes an assignment to the call destination
+             followed by a jump to the continuation *)
           let extra =
             match (dst, op) with
-            | Some d, Some v -> [ Ir.Mov (d, rename_operand v) ]
+            | Some d, Some v -> [ Ir.Mov (d, Ir.map_operand rename v) ]
             | Some d, None -> [ Ir.Mov (d, Ir.Imm 0) ]
             | None, _ -> []
           in
           { Ir.label = rl b.Ir.label; insts = insts @ extra; term = Ir.Jmp continuation }
-        | t -> { Ir.label = rl b.Ir.label; insts; term = rename_term t })
+        | t ->
+          { Ir.label = rl b.Ir.label
+          ; insts
+          ; term = Ir.map_term_labels rl (Ir.map_term_uses rename t) })
       callee.Ir.blocks
   in
   (* Split the caller block. *)

@@ -45,12 +45,7 @@ let make_preheader (f : Ir.func) (loop : Loops.loop) =
     let retarget l = if l = header then label else l in
     List.iteri
       (fun i (b : Ir.block) ->
-        if not (Loops.mem loop i) then
-          b.Ir.term <-
-            (match b.Ir.term with
-            | Ir.Jmp l -> Ir.Jmp (retarget l)
-            | Ir.Br br -> Ir.Br { br with ifso = retarget br.ifso; ifnot = retarget br.ifnot }
-            | Ir.Ret _ as t -> t))
+        if not (Loops.mem loop i) then b.Ir.term <- Ir.map_term_labels retarget b.Ir.term)
       f.Ir.blocks;
     (* keep entry block first: if the header was the entry, the
        preheader becomes the new entry *)

@@ -13,4 +13,9 @@ val make_preheader : Elag_ir.Ir.func -> Elag_ir.Loops.loop -> Elag_ir.Ir.block
     for the function (see {!Elag_ir.Loops.rebase}).  Shared with
     {!Strength_reduce} and {!Addr_promote}. *)
 
+val loop_def_counts : Elag_ir.Loops.loop -> (Elag_ir.Ir.vreg, int) Hashtbl.t
+(** How many times each register is defined in the loop's body; a
+    register is absent when it has no definition there.  Shared with
+    {!Addr_promote}. *)
+
 val run : ?summaries:Purity.t -> Elag_ir.Ir.func -> bool

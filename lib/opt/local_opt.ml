@@ -1,6 +1,9 @@
 (* Per-basic-block optimization: constant folding and propagation, copy
    propagation, common-subexpression elimination on pure operations,
-   store-to-load forwarding and redundant-load elimination.
+   store-to-load forwarding, redundant-load elimination, and folding of
+   constant-condition branches.  It is the optimizer's one constant
+   folder: values and conditions both go through {!Alu}, the emulator's
+   32-bit semantics.
 
    The block is walked forward while maintaining:
    - [env]: the current known value (constant or copy source) of each
@@ -28,29 +31,8 @@ let empty () = { values = []; exprs = []; addrs = []; mem = [] }
 
 let lookup_value env v = List.assoc_opt v env.values
 
-let subst_operand env = function
-  | Ir.Reg v -> (match lookup_value env v with Some op -> op | None -> Ir.Reg v)
-  | Ir.Imm _ as op -> op
-
-(* Substitute inside an address; a base register known to be a constant
-   turns the address into an absolute one. *)
-let subst_address env addr =
-  match addr with
-  | Ir.Base (b, d) -> begin
-    match lookup_value env b with
-    | Some (Ir.Reg w) -> Ir.Base (w, d)
-    | Some (Ir.Imm n) -> Ir.Abs (n + d)
-    | None -> addr
-  end
-  | Ir.Base_index (b, i) -> begin
-    let b' = match lookup_value env b with Some (Ir.Reg w) -> `R w | Some (Ir.Imm n) -> `I n | None -> `R b in
-    let i' = match lookup_value env i with Some (Ir.Reg w) -> `R w | Some (Ir.Imm n) -> `I n | None -> `R i in
-    match (b', i') with
-    | `R b, `R i -> Ir.Base_index (b, i)
-    | `R b, `I n | `I n, `R b -> Ir.Base (b, n)
-    | `I a, `I b -> Ir.Abs (a + b)
-  end
-  | Ir.Abs _ | Ir.Abs_sym _ -> addr
+(* The operand a use of [v] stands for: its known value, or itself. *)
+let subst env v = match lookup_value env v with Some op -> op | None -> Ir.Reg v
 
 let operand_mentions v = function Ir.Reg w -> w = v | Ir.Imm _ -> false
 
@@ -138,9 +120,8 @@ let run_block env (b : Ir.block) =
   in
   List.iter
     (fun inst ->
-      match inst with
+      match Ir.map_inst_uses (subst env) inst with
       | Ir.Bin (op, dst, a, b) -> begin
-        let a = subst_operand env a and b = subst_operand env b in
         match simplify_bin op a b with
         | `Value op_val ->
           define dst;
@@ -163,11 +144,10 @@ let run_block env (b : Ir.block) =
             keep (Ir.Bin (op, dst, a, b))
         end
       end
-      | Ir.Mov (dst, src) ->
-        let src = subst_operand env src in
+      | Ir.Mov (dst, src) as inst ->
         define dst;
         record_value dst src;
-        keep (Ir.Mov (dst, src))
+        keep inst
       | Ir.Global_addr (dst, label) -> begin
         match List.assoc_opt (addr_key_global label) env.addrs with
         | Some prev when prev <> dst ->
@@ -192,8 +172,7 @@ let run_block env (b : Ir.block) =
           env.addrs <- (addr_key_slot slot, dst) :: env.addrs;
           keep (Ir.Slot_addr (dst, slot))
       end
-      | Ir.Load ({ dst; addr; size; sign; _ } as l) -> begin
-        let addr = subst_address env addr in
+      | Ir.Load { dst; addr; size; sign; _ } as inst -> begin
         match List.assoc_opt (addr, size, sign) env.mem with
         | Some value ->
           (* redundant load: the value is already known *)
@@ -207,25 +186,22 @@ let run_block env (b : Ir.block) =
              base; the address key would refer to the old value *)
           if not (address_mentions dst addr) then
             env.mem <- ((addr, size, sign), Ir.Reg dst) :: env.mem;
-          keep (Ir.Load { l with addr; dst })
+          keep inst
       end
-      | Ir.Store { size; src; addr } ->
-        let src = subst_operand env src in
-        let addr = subst_address env addr in
+      | Ir.Store { size; src; addr } as inst ->
         (* kill aliasing entries, then record the forwarded value for
            both signednesses only when the store writes a full word *)
         env.mem <- List.filter (fun (key, _) -> not (may_alias key addr size)) env.mem;
         if size = Insn.Word then
           env.mem <- ((addr, size, Insn.Signed), src) :: env.mem;
-        keep (Ir.Store { size; src; addr })
-      | Ir.Call { dst; callee; args } ->
-        let args = List.map (subst_operand env) args in
+        keep inst
+      | Ir.Call { dst; _ } as inst ->
         invalidate_memory env;
         (match dst with Some d -> define d | None -> ());
-        keep (Ir.Call { dst; callee; args }))
+        keep inst)
     b.insts;
   b.insts <- List.rev !out;
-  b.term <- Ir.map_term_uses ~operand:(fun v -> subst_operand env (Ir.Reg v)) b.term;
+  b.term <- Ir.map_term_uses (subst env) b.term;
   (* fold constant branches right away *)
   (match b.term with
   | Ir.Br { cond; src1 = Ir.Imm x; src2 = Ir.Imm y; ifso; ifnot } ->

@@ -1,5 +1,5 @@
-(* Control-flow cleanup:
-   - constant-condition branches become jumps;
+(* Control-flow cleanup, on the shape of the graph only (constant
+   conditions are {!Local_opt}'s to fold):
    - branches with identical arms become jumps;
    - jumps to empty forwarding blocks are threaded;
    - unreachable blocks are deleted;
@@ -9,22 +9,11 @@
 module Ir = Elag_ir.Ir
 module Cfg = Elag_ir.Cfg
 
-(* [fold_branch] and [retarget_term] return their argument itself when
-   they leave it as it is, so [run] detects a change by physical
+(* [same_arms] and {!Ir.map_term_labels} return their argument itself
+   when they leave it as it is, so [run] detects a change by physical
    inequality instead of a structural compare of every terminator. *)
-let fold_branch (t : Ir.terminator) =
+let same_arms (t : Ir.terminator) =
   match t with
-  | Ir.Br { cond; src1 = Ir.Imm a; src2 = Ir.Imm b; ifso; ifnot } ->
-    let taken =
-      match cond with
-      | Elag_isa.Insn.Eq -> a = b
-      | Elag_isa.Insn.Ne -> a <> b
-      | Elag_isa.Insn.Lt -> a < b
-      | Elag_isa.Insn.Le -> a <= b
-      | Elag_isa.Insn.Gt -> a > b
-      | Elag_isa.Insn.Ge -> a >= b
-    in
-    Ir.Jmp (if taken then ifso else ifnot)
   | Ir.Br { ifso; ifnot; _ } when ifso = ifnot -> Ir.Jmp ifso
   | t -> t
 
@@ -46,17 +35,6 @@ let thread_target f =
   in
   chase []
 
-let retarget_term thread (t : Ir.terminator) =
-  match t with
-  | Ir.Jmp l ->
-    let l' = thread l in
-    if String.equal l' l then t else Ir.Jmp l'
-  | Ir.Br b ->
-    let ifso = thread b.ifso and ifnot = thread b.ifnot in
-    if String.equal ifso b.ifso && String.equal ifnot b.ifnot then t
-    else Ir.Br { b with ifso; ifnot }
-  | Ir.Ret _ -> t
-
 let rewrite_terms changed rewrite (f : Ir.func) =
   List.iter
     (fun (b : Ir.block) ->
@@ -69,10 +47,10 @@ let rewrite_terms changed rewrite (f : Ir.func) =
 
 let run (f : Ir.func) =
   let changed = ref false in
-  (* 1. fold constant branches *)
-  rewrite_terms changed fold_branch f;
+  (* 1. branches with identical arms *)
+  rewrite_terms changed same_arms f;
   (* 2. thread forwarding blocks *)
-  rewrite_terms changed (retarget_term (thread_target f)) f;
+  rewrite_terms changed (Ir.map_term_labels (thread_target f)) f;
   (* 3. delete unreachable blocks *)
   let cfg = Cfg.of_func f in
   let reachable = List.filteri (fun i _ -> Cfg.reachable cfg i) f.Ir.blocks in

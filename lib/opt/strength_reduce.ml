@@ -25,8 +25,10 @@ type basic_iv =
   ; update_inst : Ir.inst }
 
 let find_basic_ivs (dom : Dominators.t) (loop : Loops.loop) =
-  let candidates = Hashtbl.create 8 in
-  (* map v -> (count of defs, latest update info) *)
+  (* map v -> (count of defs, latest update info).  The IVs come out in
+     this table's fold order, which decides which one is reduced first;
+     [~random:false] keeps it fixed under OCAMLRUNPARAM=R. *)
+  let candidates = Hashtbl.create ~random:false 8 in
   Array.iter
     (fun i ->
       let b = Cfg.block loop.Loops.cfg i in
@@ -34,10 +36,10 @@ let find_basic_ivs (dom : Dominators.t) (loop : Loops.loop) =
         (fun inst ->
           List.iter
             (fun d ->
+              (* immediate second, as in [candidate_scale] *)
               let step =
                 match inst with
                 | Ir.Bin (Ir.Add, v, Ir.Reg v', Ir.Imm c) when v = d && v' = v -> Some c
-                | Ir.Bin (Ir.Add, v, Ir.Imm c, Ir.Reg v') when v = d && v' = v -> Some c
                 | Ir.Bin (Ir.Sub, v, Ir.Reg v', Ir.Imm c) when v = d && v' = v -> Some (-c)
                 | _ -> None
               in
@@ -62,11 +64,21 @@ let find_basic_ivs (dom : Dominators.t) (loop : Loops.loop) =
       | _ -> acc)
     candidates []
 
+let insert_after_update (loop : Loops.loop) biv inst =
+  let b = Cfg.block loop.Loops.cfg biv.update_block in
+  let rec insert = function
+    | [] -> invalid_arg "Strength_reduce: induction-variable update vanished"
+    | i :: rest when i == biv.update_inst -> i :: inst :: rest
+    | i :: rest -> i :: insert rest
+  in
+  b.Ir.insts <- insert b.Ir.insts
+
 (* Multiplier of a candidate use of [iv], if it is a constant-scale
-   operation worth reducing. *)
+   operation worth reducing.  Only the immediate-second shapes occur:
+   the scalar fixpoint before this pass puts the immediate of every
+   commutative operation second ({!Local_opt}). *)
 let candidate_scale iv = function
   | Ir.Bin (Ir.Mul, d, Ir.Reg v, Ir.Imm k) when v = iv -> Some (d, k)
-  | Ir.Bin (Ir.Mul, d, Ir.Imm k, Ir.Reg v) when v = iv -> Some (d, k)
   | Ir.Bin (Ir.Sll, d, Ir.Reg v, Ir.Imm k) when v = iv && k >= 0 && k < 31 ->
     Some (d, 1 lsl k)
   | _ -> None
@@ -95,15 +107,7 @@ let reduce_one (f : Ir.func) (loop : Loops.loop) (biv : basic_iv) =
     (* preheader initialization *)
     let pre = Licm.make_preheader f loop in
     pre.Ir.insts <- pre.Ir.insts @ [ Ir.Bin (Ir.Mul, s, Ir.Reg biv.iv, Ir.Imm k) ];
-    (* accumulator bump right after the IV update *)
-    let upd_block = Cfg.block cfg biv.update_block in
-    let bump = Ir.Bin (Ir.Add, s, Ir.Reg s, Ir.Imm (biv.step * k)) in
-    let rec insert_after = function
-      | [] -> []
-      | inst :: rest when inst == biv.update_inst -> inst :: bump :: rest
-      | inst :: rest -> inst :: insert_after rest
-    in
-    upd_block.Ir.insts <- insert_after upd_block.Ir.insts;
+    insert_after_update loop biv (Ir.Bin (Ir.Add, s, Ir.Reg s, Ir.Imm (biv.step * k)));
     (* replace the use *)
     use_block.Ir.insts <-
       List.map

@@ -13,4 +13,9 @@ val find_basic_ivs : Elag_ir.Dominators.t -> Elag_ir.Loops.loop -> basic_iv list
     constant, with the update dominating every latch.  The dominators
     are those of the loop's snapshot.  Shared with {!Addr_promote}. *)
 
+val insert_after_update : Elag_ir.Loops.loop -> basic_iv -> Elag_ir.Ir.inst -> unit
+(** Insert an instruction right after the induction variable's update,
+    in the loop's snapshot.  Raises [Invalid_argument] if the update is
+    no longer in its block.  Shared with {!Addr_promote}. *)
+
 val run : Elag_ir.Ir.func -> bool

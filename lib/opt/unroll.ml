@@ -63,13 +63,7 @@ let unroll_loop (f : Ir.func) (loop : Loops.loop) ~factor =
           let rename_target tgt =
             if label = latch && tgt = header then next_header else rename k tgt
           in
-          let term =
-            match b.Ir.term with
-            | Ir.Jmp l -> Ir.Jmp (rename_target l)
-            | Ir.Br br ->
-              Ir.Br { br with ifso = rename_target br.ifso; ifnot = rename_target br.ifnot }
-            | Ir.Ret _ as t -> t
-          in
+          let term = Ir.map_term_labels rename_target b.Ir.term in
           copies :=
             { Ir.label = copy_label k label; insts = b.Ir.insts; term } :: !copies)
         loop.Loops.body
@@ -77,11 +71,7 @@ let unroll_loop (f : Ir.func) (loop : Loops.loop) ~factor =
     (* Redirect the original latch's back edge into the first copy. *)
     let latch_block = Cfg.block cfg latch_index in
     let redirect tgt = if tgt = header then copy_label 1 header else tgt in
-    latch_block.Ir.term <-
-      (match latch_block.Ir.term with
-      | Ir.Jmp l -> Ir.Jmp (redirect l)
-      | Ir.Br br -> Ir.Br { br with ifso = redirect br.ifso; ifnot = redirect br.ifnot }
-      | Ir.Ret _ as t -> t);
+    latch_block.Ir.term <- Ir.map_term_labels redirect latch_block.Ir.term;
     (* Copies share vregs with the original: instruction lists are
        reused as-is.  Insert the copies right after the latch block. *)
     let rec insert = function

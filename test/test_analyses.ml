@@ -310,8 +310,6 @@ let check_program name source =
   per_func "addr_promote" Opt.Addr_promote.run;
   scalar ();
   per_func "unroll" (fun f -> Opt.Unroll.run ~factor:4 f);
-  scalar ();
-  per_func "addr_promote" Opt.Addr_promote.run;
   scalar ()
 
 let test_minic_snapshots () =

@@ -144,11 +144,23 @@ let test_inst_metadata () =
     (Ir.has_side_effect (Ir.Store { size = Insn.Word; src = Ir.Imm 0; addr = Ir.Abs 0 }));
   check_bool "bin is pure" false (Ir.has_side_effect (Ir.Bin (Ir.Add, 1, Ir.Imm 1, Ir.Imm 2)))
 
+(* [subst_address] with v1 = 100, v2 = 8 and v3 -> v4: constants fold,
+   symbolic and absolute addresses are left alone *)
 let test_abs_sym_addressing () =
   let addr = Ir.Abs_sym ("glob", 8) in
   Alcotest.(check (list int)) "no registers" [] (Ir.address_vregs addr);
-  let mapped = Ir.map_address (fun v -> v + 1) addr in
-  check_bool "map preserves symbolic" true (mapped = addr)
+  let subst = function 1 -> Ir.Imm 100 | 2 -> Ir.Imm 8 | 3 -> Ir.Reg 4 | v -> Ir.Reg v in
+  let check name expected addr =
+    check_bool name true (Ir.subst_address subst addr = expected)
+  in
+  check "map preserves symbolic" addr addr;
+  check "absolute untouched" (Ir.Abs 4) (Ir.Abs 4);
+  check "base renamed" (Ir.Base (4, 12)) (Ir.Base (3, 12));
+  check "constant base" (Ir.Abs 112) (Ir.Base (1, 12));
+  check "index renamed" (Ir.Base_index (4, 5)) (Ir.Base_index (3, 5));
+  check "constant index" (Ir.Base (4, 8)) (Ir.Base_index (3, 2));
+  check "constant base of two" (Ir.Base (5, 100)) (Ir.Base_index (1, 5));
+  check "both constant" (Ir.Abs 108) (Ir.Base_index (1, 2))
 
 let suite =
   [ Alcotest.test_case "cfg: edges and rpo" `Quick test_cfg_edges

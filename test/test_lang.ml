@@ -40,6 +40,10 @@ let suite =
   ; t "32-bit overflow wraps"
       "int main() { int x = 2147483647; print_int(x + 1); return 0; }"
       "-2147483648\n"
+  ; t "constant comparisons wrap to 32 bits"
+      "int main() { if (4294967296 == 0) print_int(1); else print_int(2); \
+       if (4294967295 < 0) print_int(3); else print_int(4); return 0; }"
+      "1\n3\n"
   ; t "bitwise and shifts"
       "int main() { print_int((0xF0 | 0x0F) ^ 0xFF); print_int(1 << 10); \
        print_int((0-8) >> 1); return 0; }"
