@@ -2,7 +2,5 @@
     function through {!Emit}, adds the [_start] shim and assembles the
     final program. *)
 
-val default_stack_top : int
-(** 16 MiB: the top of the emulated stack. *)
-
-val generate : ?stack_top:int -> Elag_ir.Ir.program -> Elag_isa.Program.t
+val generate : Elag_ir.Ir.program -> Elag_isa.Program.t
+(** The stack starts at 16 MiB and grows down. *)

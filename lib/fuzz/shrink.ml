@@ -8,13 +8,13 @@
    swap the original failure for a different one, and a candidate that
    breaks assembly or lint simply counts as "does not reproduce".
 
-   Two passes per round, iterated to fixpoint (bounded by
-   [max_rounds]): chunked deletion with halving chunk sizes (delete
-   big runs first, then single instructions), then per-instruction
-   simplification (loads to [li 0], anything to [nop]) for
-   instructions that cannot be deleted outright.  Programs here are
-   generator-sized (tens of instructions), so the O(n^2) candidate
-   count is cheap next to the oracle runs it triggers. *)
+   Two passes per round, iterated to fixpoint (at most [max_rounds]):
+   chunked deletion with halving chunk sizes (delete big runs first,
+   then single instructions), then per-instruction simplification
+   (loads to [li 0], anything to [nop]) for instructions that cannot be
+   deleted outright.  Programs here are generator-sized (tens of
+   instructions), so the O(n^2) candidate count is cheap next to the
+   oracle runs it triggers. *)
 
 module Insn = Elag_isa.Insn
 module Program = Elag_isa.Program
@@ -49,7 +49,9 @@ let simplifications = function
   | Insn.Load { dst; _ } -> [ Insn.Li { dst; imm = 0 }; Insn.Nop ]
   | _ -> [ Insn.Nop ]
 
-let minimize ?(max_rounds = 8) ~check items =
+let max_rounds = 8
+
+let minimize ~check items =
   let current = ref items in
   let changed = ref true in
   let rounds = ref 0 in

@@ -10,11 +10,10 @@
 val insn_count : Elag_isa.Program.item list -> int
 
 val minimize :
-  ?max_rounds:int ->
   check:(Elag_isa.Program.item list -> bool) ->
   Elag_isa.Program.item list ->
   Elag_isa.Program.item list
 (** Chunked deletion (halving chunk sizes) then per-instruction
-    simplification, iterated to fixpoint or [max_rounds] (default 8).
+    simplification, iterated to fixpoint or 8 rounds.
     [check] must return [true] iff the candidate still fails the same
     way; it is responsible for catching its own exceptions. *)

@@ -55,3 +55,19 @@ let to_ir ?(options = default_options) source =
 
 let compile ?(options = default_options) source : Program.t =
   Codegen.generate (to_ir ~options source)
+
+let listing_options =
+  let levels =
+    [ ("O0", Opt_driver.O0, 0); ("O1", Opt_driver.O1, 0); ("O2-u0", Opt_driver.O2, 0)
+    ; ("O2-u4", Opt_driver.O2, 4); ("O2-u8", Opt_driver.O2, 8) ]
+  in
+  List.concat_map
+    (fun (suffix, classification) ->
+      List.map
+        (fun (name, opt_level, unroll_factor) ->
+          (name ^ suffix, { default_options with opt_level; unroll_factor; classification }))
+        levels)
+    [ ("", Heuristics); ("-nc", No_classification) ]
+
+let listing_digest ~options source =
+  Digest.to_hex (Digest.string (Fmt.str "%a" Program.pp (compile ~options source)))

@@ -22,3 +22,12 @@ val to_ir : ?options:options -> string -> Elag_ir.Ir.program
 (** Front end + optimizer + classifier, stopping at the IR. *)
 
 val compile : ?options:options -> string -> Elag_isa.Program.t
+
+val listing_options : (string * options) list
+(** The ten named option sets that compiled listings are pinned under:
+    ["O0"], ["O1"] and ["O2-u0"/"-u4"/"-u8"] (unroll factor), each with
+    the heuristics and, suffixed ["-nc"], without classification. *)
+
+val listing_digest : options:options -> string -> string
+(** The MD5, in hex, of the compiled program's listing
+    ({!Elag_isa.Program.pp}). *)

@@ -87,6 +87,13 @@ let access_of_ty ~ctx:where = function
 
 let size_of ctx ty = Structs.size_of ctx.structs ty
 
+(* The access a place of type [ty] is read and written with.  An
+   aggregate place is only addressed, so its access is unused. *)
+let place_access ctx line ty =
+  match ty with
+  | Ast.Tint | Ast.Tchar | Ast.Tptr _ -> access_of_ty ~ctx:(loc ~line ctx) ty
+  | _ -> (Insn.Word, Insn.Signed)
+
 let log2_exact n =
   let rec go k v = if v = n then Some k else if v > n then None else go (k + 1) (v * 2) in
   if n <= 0 then None else go 0 1
@@ -150,58 +157,22 @@ let rec lower_place ctx (e : Typed.expr) : place =
     match Hashtbl.find_opt ctx.storage l.Typed.local_id with
     | Some (Sreg v) -> Preg v
     | Some (Sslot s) ->
-      let size, sign =
-        match l.Typed.local_ty with
-        | (Ast.Tint | Ast.Tchar | Ast.Tptr _) as ty ->
-          access_of_ty ~ctx:(loc ~line:e.Typed.line ctx) ty
-        | _ -> (Insn.Word, Insn.Signed) (* aggregate; size unused for places *)
-      in
+      let size, sign = place_access ctx e.Typed.line l.Typed.local_ty in
       Pmem (slot_address ctx s, size, sign)
     | None ->
       err ~ctx:(loc ~line:e.Typed.line ctx)
         ("reference to local without storage: " ^ l.Typed.local_name)
   end
   | Typed.Var (Typed.Global (name, ty)) ->
-    let size, sign =
-      match ty with
-      | (Ast.Tint | Ast.Tchar | Ast.Tptr _) as ty ->
-        access_of_ty ~ctx:(loc ~line:e.Typed.line ctx) ty
-      | _ -> (Insn.Word, Insn.Signed)
-    in
+    let size, sign = place_access ctx e.Typed.line ty in
     Pmem (Ir.Abs_sym (name, 0), size, sign)
   | Typed.Deref p ->
     let addr = lower_to_address ctx p 0 in
-    let size, sign =
-      match e.ty with
-      | (Ast.Tint | Ast.Tchar | Ast.Tptr _) as ty ->
-        access_of_ty ~ctx:(loc ~line:e.Typed.line ctx) ty
-      | _ -> (Insn.Word, Insn.Signed)
-    in
+    let size, sign = place_access ctx e.Typed.line e.ty in
     Pmem (addr, size, sign)
   | Typed.Index (base, idx) ->
-    let elem_ty = e.ty in
-    let elem_size = size_of ctx elem_ty in
-    let size, sign =
-      match elem_ty with
-      | (Ast.Tint | Ast.Tchar | Ast.Tptr _) as ty ->
-        access_of_ty ~ctx:(loc ~line:e.Typed.line ctx) ty
-      | _ -> (Insn.Word, Insn.Signed)
-    in
-    let idx_op = lower_value ctx idx in
-    let addr =
-      match idx_op with
-      | Ir.Imm n -> lower_to_address ctx base (n * elem_size)
-      | Ir.Reg _ ->
-        let base_addr = lower_to_address ctx base 0 in
-        let scaled = scale_index ctx idx_op elem_size in
-        (match (base_addr, scaled) with
-        | addr, Ir.Imm n -> offset_address ctx addr n
-        | Ir.Base (b, 0), Ir.Reg s -> Ir.Base_index (b, s)
-        | addr, Ir.Reg s ->
-          let bv = as_reg ctx (address_value ctx addr) in
-          Ir.Base_index (bv, s))
-    in
-    Pmem (addr, size, sign)
+    let size, sign = place_access ctx e.Typed.line e.ty in
+    Pmem (index_address ctx base idx (size_of ctx e.ty) 0, size, sign)
   | Typed.Field (base, fname) ->
     let sname =
       match base.ty with
@@ -218,12 +189,7 @@ let rec lower_place ctx (e : Typed.expr) : place =
         err ~ctx:(loc ~line:e.Typed.line ctx)
           "struct value has register storage; fields need memory"
     in
-    let size, sign =
-      match field.Structs.field_ty with
-      | (Ast.Tint | Ast.Tchar | Ast.Tptr _) as ty ->
-        access_of_ty ~ctx:(loc ~line:e.Typed.line ctx) ty
-      | _ -> (Insn.Word, Insn.Signed)
-    in
+    let size, sign = place_access ctx e.Typed.line field.Structs.field_ty in
     Pmem (offset_address ctx base_addr field.Structs.offset, size, sign)
   | _ ->
     err ~ctx:(loc ~line:e.Typed.line ctx)
@@ -249,14 +215,7 @@ and lower_to_address ctx (e : Typed.expr) disp : Ir.address =
         "address taken of a register-resident value"
   end
   | Typed.Binop (Ast.Add, p, i) when is_pointer p.ty && is_intlike i.ty ->
-    let elem = pointee_size ctx p.ty in
-    let iop = lower_value ctx i in
-    (match iop with
-    | Ir.Imm n -> lower_to_address ctx p (disp + (n * elem))
-    | Ir.Reg _ ->
-      let addr = lower_to_address ctx p disp in
-      let scaled = scale_index ctx iop elem in
-      combine_base_index ctx addr scaled)
+    index_address ctx p i (pointee_size ctx p.ty) disp
   | Typed.Binop (Ast.Add, i, p) when is_pointer p.ty && is_intlike i.ty ->
     lower_to_address ctx { e with desc = Typed.Binop (Ast.Add, p, i) } disp
   | Typed.Binop (Ast.Sub, p, i) when is_pointer p.ty && is_intlike i.ty ->
@@ -274,6 +233,15 @@ and lower_to_address ctx (e : Typed.expr) disp : Ir.address =
     (match v with
     | Ir.Reg r -> Ir.Base (r, disp)
     | Ir.Imm n -> Ir.Abs (n + disp))
+
+(* The address of [p\[i\]] (elements of [elem] bytes) plus [disp]; the
+   index is evaluated first, then the base. *)
+and index_address ctx p i elem disp =
+  match lower_value ctx i with
+  | Ir.Imm n -> lower_to_address ctx p (disp + (n * elem))
+  | Ir.Reg _ as iop ->
+    let addr = lower_to_address ctx p disp in
+    combine_base_index ctx addr (scale_index ctx iop elem)
 
 and combine_base_index ctx addr scaled =
   match (addr, scaled) with

@@ -12,8 +12,7 @@ type init =
 type entry = { address : int; init : init }
 
 type t =
-  { base : int
-  ; mutable next : int
+  { mutable next : int
   ; symbols : (string, entry) Hashtbl.t
   ; mutable order : string list }
 
@@ -23,8 +22,7 @@ let default_base = 0x1000
    publishes the heap base; the MiniC runtime's allocator reads it. *)
 let heap_pointer_slot = default_base - 4
 
-let create ?(base = default_base) () =
-  { base; next = base; symbols = Hashtbl.create 64; order = [] }
+let create () = { next = default_base; symbols = Hashtbl.create 64; order = [] }
 
 let init_size = function
   | Zeros n -> n

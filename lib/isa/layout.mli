@@ -9,13 +9,14 @@ type init =
 type t
 
 val default_base : int
-(** Default start of the data segment (0x1000). *)
+(** Start of the data segment (0x1000). *)
 
 val heap_pointer_slot : int
 (** Reserved word just below the data segment where the emulator
     publishes the heap base address (see {!Elag_sim.Emulator}). *)
 
-val create : ?base:int -> unit -> t
+val create : unit -> t
+(** An empty layout starting at {!default_base}. *)
 
 val add : t -> label:string -> align:int -> init:init -> int
 (** Allocate a region for [label]; returns its byte address.

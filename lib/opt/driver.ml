@@ -16,14 +16,14 @@ let scalar_round f =
   let changed = ref false in
   let note c = if c then changed := true in
   note (Simplify_cfg.run f);
-  note (Collapse_movs.run f);
   note (Local_opt.run f);
-  note (Global_prop.run f);
   note (Dce.run f);
   !changed
 
-let rec fixpoint ?(fuel = 10) pass f =
-  if fuel > 0 && pass f then fixpoint ~fuel:(fuel - 1) pass f
+(* Repeat [pass] until it reports no change, at most 10 times. *)
+let fixpoint pass f =
+  let rec go fuel = if fuel > 0 && pass f then go (fuel - 1) in
+  go 10
 
 let optimize_func ?(level = O2) (f : Ir.func) =
   match level with

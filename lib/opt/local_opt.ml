@@ -1,19 +1,40 @@
-(* Per-basic-block optimization: constant folding and propagation, copy
-   propagation, common-subexpression elimination on pure operations,
-   store-to-load forwarding, redundant-load elimination, and folding of
-   constant-condition branches.  It is the optimizer's one constant
-   folder: values and conditions both go through {!Alu}, the emulator's
-   32-bit semantics.
+(* The scalar propagation pass.  One call counts each virtual
+   register's uses and definitions over the whole function once, then:
 
-   The block is walked forward while maintaining:
-   - [env]: the current known value (constant or copy source) of each
-     virtual register;
+   1. Collapses adjacent [t = op ...; v = t] pairs where [t] is a
+      single-definition, single-use temporary, producing the compact
+      two-address shapes ([v = add v, 1], [p = ld \[p+8\]]) that
+      induction-variable detection and the paper's load-classification
+      heuristics key on.  A collapse deletes [t] outright, so the
+      counts of every other register stay exact.
+
+   2. Collects the function-wide values: [v] defined exactly once as
+      [v = const], or as [v = w] with [w] itself defined once.  Without
+      SSA this is sound only if that single definition dominates every
+      use of [v]; a read of [v] before its definition (MiniC accepts
+      reads of uninitialized locals) sees the value anyway.
+
+   3. Walks each block: constant folding and propagation, copy
+      propagation, common-subexpression elimination on pure operations,
+      store-to-load forwarding, redundant-load elimination, and folding
+      of constant-condition branches.  It is the optimizer's one
+      constant folder: values and conditions both go through {!Alu},
+      the emulator's 32-bit semantics.
+
+   A use takes its function-wide value first, else its known value in
+   the block.  The block is walked forward while maintaining:
+   - [values]: the current known value (constant or copy source) of
+     each virtual register;
    - [exprs]: available pure expressions keyed by (op, operands);
    - [mem]: available memory values keyed by canonical address+size.
 
    Invalidations: redefining [v] drops every table entry mentioning
    [v]; stores and calls drop memory entries (a store then records its
-   own forwarding entry). *)
+   own forwarding entry).
+
+   Collapses, function-wide substitutions, folds, CSE hits and
+   forwarded loads count as changes; block-local substitutions do not
+   (DESIGN §14, "Known gap"). *)
 
 module Ir = Elag_ir.Ir
 
@@ -28,11 +49,6 @@ type env =
   ; mutable mem : ((Ir.address * Insn.mem_size * Insn.signedness) * Ir.operand) list }
 
 let empty () = { values = []; exprs = []; addrs = []; mem = [] }
-
-let lookup_value env v = List.assoc_opt v env.values
-
-(* The operand a use of [v] stands for: its known value, or itself. *)
-let subst env v = match lookup_value env v with Some op -> op | None -> Ir.Reg v
 
 let operand_mentions v = function Ir.Reg w -> w = v | Ir.Imm _ -> false
 
@@ -108,8 +124,18 @@ let may_alias (a1, s1, _) a2 s2 =
     not (hi1 < lo2 || hi2 < lo1)
   | _ -> true
 
-let run_block env (b : Ir.block) =
+(* [global v] is [v]'s function-wide value, or [Reg v]. *)
+let run_block ~global env (b : Ir.block) =
   let changed = ref false in
+  (* The operand a use of [v] stands for. *)
+  let subst v =
+    match global v with
+    | Ir.Reg w when w = v -> (
+      match List.assoc_opt v env.values with Some op -> op | None -> Ir.Reg v)
+    | op ->
+      changed := true;
+      op
+  in
   let out = ref [] in
   let keep inst = out := inst :: !out in
   let define v =
@@ -120,7 +146,7 @@ let run_block env (b : Ir.block) =
   in
   List.iter
     (fun inst ->
-      match Ir.map_inst_uses (subst env) inst with
+      match Ir.map_inst_uses subst inst with
       | Ir.Bin (op, dst, a, b) -> begin
         match simplify_bin op a b with
         | `Value op_val ->
@@ -201,7 +227,7 @@ let run_block env (b : Ir.block) =
         keep inst)
     b.insts;
   b.insts <- List.rev !out;
-  b.term <- Ir.map_term_uses (subst env) b.term;
+  b.term <- Ir.map_term_uses subst b.term;
   (* fold constant branches right away *)
   (match b.term with
   | Ir.Br { cond; src1 = Ir.Imm x; src2 = Ir.Imm y; ifso; ifnot } ->
@@ -210,9 +236,78 @@ let run_block env (b : Ir.block) =
   | _ -> ());
   !changed
 
-let run (f : Ir.func) =
-  let changed = ref false in
+(* Use and definition counts, indexed by vreg.  Parameters count as
+   defined once on entry. *)
+let count (f : Ir.func) =
+  let uses = Array.make f.next_vreg 0 and defs = Array.make f.next_vreg 0 in
+  let bump counts v = counts.(v) <- counts.(v) + 1 in
   List.iter
-    (fun b -> if run_block (empty ()) b then changed := true)
+    (fun (b : Ir.block) ->
+      List.iter
+        (fun inst ->
+          List.iter (bump uses) (Ir.inst_uses inst);
+          List.iter (bump defs) (Ir.inst_defs inst))
+        b.insts;
+      List.iter (bump uses) (Ir.term_uses b.term))
+    f.blocks;
+  List.iter (bump defs) f.params;
+  (uses, defs)
+
+(* Step 1: retarget [t = op ...] to [v] and drop [v = t]. *)
+let collapse ~uses ~defs (b : Ir.block) =
+  let changed = ref false in
+  let collapsible t v = t <> v && uses.(t) = 1 && defs.(t) = 1 in
+  let rec rewrite = function
+    | inst :: Ir.Mov (v, Ir.Reg t) :: rest when List.mem t (Ir.inst_defs inst) -> begin
+      let retargeted =
+        match inst with
+        | Ir.Bin (op, d, a, b) when d = t && collapsible t v -> Some (Ir.Bin (op, v, a, b))
+        | Ir.Load l when l.dst = t && collapsible t v -> Some (Ir.Load { l with dst = v })
+        | Ir.Global_addr (d, lbl) when d = t && collapsible t v ->
+          Some (Ir.Global_addr (v, lbl))
+        | Ir.Slot_addr (d, s) when d = t && collapsible t v -> Some (Ir.Slot_addr (v, s))
+        | _ -> None
+      in
+      match retargeted with
+      | Some inst' ->
+        changed := true;
+        inst' :: rewrite rest
+      | None -> inst :: rewrite (Ir.Mov (v, Ir.Reg t) :: rest)
+    end
+    | inst :: rest -> inst :: rewrite rest
+    | [] -> []
+  in
+  b.insts <- rewrite b.insts;
+  !changed
+
+(* Step 2: the function-wide value of each single-definition constant
+   or copy, with copy chains [v -> w -> x] resolved. *)
+let global_values ~defs (f : Ir.func) =
+  let known = Array.make f.next_vreg None in
+  let single v = defs.(v) = 1 in
+  List.iter
+    (fun (b : Ir.block) ->
+      List.iter
+        (function
+          | Ir.Mov (v, (Ir.Imm _ as c)) when single v -> known.(v) <- Some c
+          | Ir.Mov (v, (Ir.Reg w as c)) when single v && single w -> known.(v) <- Some c
+          | _ -> ())
+        b.insts)
+    f.blocks;
+  let rec resolve seen v =
+    match known.(v) with
+    | Some (Ir.Reg w) when not (List.mem w seen) -> resolve (v :: seen) w
+    | Some (Ir.Imm _ as c) -> c
+    | _ -> Ir.Reg v
+  in
+  resolve []
+
+let run (f : Ir.func) =
+  let uses, defs = count f in
+  let changed = ref false in
+  List.iter (fun b -> if collapse ~uses ~defs b then changed := true) f.Ir.blocks;
+  let global = global_values ~defs f in
+  List.iter
+    (fun b -> if run_block ~global (empty ()) b then changed := true)
     f.Ir.blocks;
   !changed

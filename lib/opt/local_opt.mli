@@ -1,11 +1,21 @@
-(** Per-basic-block optimization: constant folding and propagation,
-    copy propagation, common-subexpression elimination on pure
-    operations, store-to-load forwarding, redundant-load elimination
-    and constant-condition branch folding.
+(** The scalar propagation pass.  One call counts uses and definitions
+    over the function once, then:
+    - collapses each single-use temporary [t = op ...; v = t] into
+      [v = op ...], the two-address shapes ([v = add v, 1],
+      [p = ld [p+8]]) the paper's heuristics key on;
+    - propagates each single-definition constant or copy across the
+      whole function.  This assumes the definition dominates every
+      use: a read before it (an uninitialized MiniC local) sees the
+      value anyway;
+    - within each block, folds constants, propagates constants and
+      copies, eliminates common pure subexpressions, forwards stores to
+      loads, removes redundant loads and folds constant-condition
+      branches.
 
     This is the optimizer's only constant folder.  Values and branch
     conditions both use the ISA's 32-bit ALU semantics
     ({!Elag_isa.Alu}), so folded results always match execution. *)
 
 val run : Elag_ir.Ir.func -> bool
-(** Returns whether anything changed. *)
+(** Returns whether anything changed.  Block-local substitutions alone
+    do not count. *)

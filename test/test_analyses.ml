@@ -296,9 +296,7 @@ let check_program name source =
   in
   let scalar () =
     per_func "simplify_cfg" Opt.Simplify_cfg.run;
-    per_func "collapse_movs" Opt.Collapse_movs.run;
     per_func "local_opt" Opt.Local_opt.run;
-    per_func "global_prop" Opt.Global_prop.run;
     per_func "dce" Opt.Dce.run
   in
   scalar ();

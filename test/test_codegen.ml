@@ -139,27 +139,8 @@ let test_emitted_program_shape () =
    a digest; an analysis or pass rewrite that must not change code is
    checked by this file staying put.  Regenerate with the hook described
    in {!Golden}. *)
-let listing_digest ~options source =
-  Digest.to_hex
-    (Digest.string (Fmt.str "%a" Program.pp (Compile.compile ~options source)))
-
 let golden_listings () =
   let module Json = Elag_telemetry.Json in
-  let module Driver = Elag_opt.Driver in
-  let levels =
-    [ ("O0", Driver.O0, 0); ("O1", Driver.O1, 0); ("O2-u0", Driver.O2, 0)
-    ; ("O2-u4", Driver.O2, 4); ("O2-u8", Driver.O2, 8) ]
-  in
-  let configs =
-    List.concat_map
-      (fun (suffix, classification) ->
-        List.map
-          (fun (name, opt_level, unroll_factor) ->
-            ( name ^ suffix
-            , { Compile.default_options with opt_level; unroll_factor; classification } ))
-          levels)
-      [ ("", Compile.Heuristics); ("-nc", Compile.No_classification) ]
-  in
   let workloads =
     List.map
       (fun (w : Elag_workloads.Workload.t) ->
@@ -167,8 +148,8 @@ let golden_listings () =
         , Json.Obj
             (List.map
                (fun (name, options) ->
-                 (name, Json.String (listing_digest ~options w.source)))
-               configs) ))
+                 (name, Json.String (Compile.listing_digest ~options w.source)))
+               Compile.listing_options) ))
       Elag_workloads.Suite.all
   in
   let minic =
@@ -176,7 +157,7 @@ let golden_listings () =
       (Digest.string
          (String.concat ""
             (List.init 200 (fun seed ->
-                 listing_digest ~options:Compile.default_options
+                 Compile.listing_digest ~options:Compile.default_options
                    (Elag_fuzz.Gen.minic seed)))))
   in
   Json.to_string ~pretty:true

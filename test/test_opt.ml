@@ -227,9 +227,7 @@ let test_licm_hoists_load_past_pure_call () =
   let main = func ir "main" in
   let fix () = for _ = 1 to 8 do
     ignore (Elag_opt.Simplify_cfg.run main);
-    ignore (Elag_opt.Collapse_movs.run main);
     ignore (Elag_opt.Local_opt.run main);
-    ignore (Elag_opt.Global_prop.run main);
     ignore (Elag_opt.Dce.run main)
   done in
   fix ();
@@ -256,6 +254,56 @@ let test_licm_hoists_load_past_pure_call () =
   fix ();
   check "load hoisted with summaries" 0 (loads_in_loop ())
 
+(* --- scalar propagation on hand-built IR ----------------------------------- *)
+
+(* [v1] is the only parameter. *)
+let mkfunc blocks =
+  { Ir.name = "f"; params = [ 1 ]; blocks; slots = []; next_vreg = 10; next_label = 0 }
+
+let block l insts term = { Ir.label = l; insts; term }
+let ret v = Ir.Ret (Some (Ir.Reg v))
+
+let test_collapse_single_use_temp () =
+  let entry =
+    block "entry" [ Ir.Bin (Ir.Add, 2, Ir.Reg 1, Ir.Imm 1); Ir.Mov (1, Ir.Reg 2) ] (ret 1)
+  in
+  check_bool "changed" true (Elag_opt.Local_opt.run (mkfunc [ entry ]));
+  check_bool "v1 = add v1, 1" true (entry.insts = [ Ir.Bin (Ir.Add, 1, Ir.Reg 1, Ir.Imm 1) ])
+
+let test_collapse_keeps_shared_temp () =
+  let insts = [ Ir.Bin (Ir.Add, 2, Ir.Reg 1, Ir.Imm 1); Ir.Mov (1, Ir.Reg 2) ] in
+  let entry = block "entry" insts (ret 2) in
+  ignore (Elag_opt.Local_opt.run (mkfunc [ entry ]));
+  check_bool "temporary with two uses stays" true (entry.insts = insts)
+
+let test_global_constant_crosses_blocks () =
+  let next = block "next" [ Ir.Bin (Ir.Add, 3, Ir.Reg 1, Ir.Reg 2) ] (ret 3) in
+  let f = mkfunc [ block "entry" [ Ir.Mov (2, Ir.Imm 5) ] (Ir.Jmp "next"); next ] in
+  check_bool "changed" true (Elag_opt.Local_opt.run f);
+  check_bool "v2 is 5 in the next block" true
+    (next.insts = [ Ir.Bin (Ir.Add, 3, Ir.Reg 1, Ir.Imm 5) ])
+
+let test_global_skips_two_definitions () =
+  let join_insts = [ Ir.Bin (Ir.Add, 3, Ir.Reg 1, Ir.Reg 2) ] in
+  let join = block "join" join_insts (ret 3) in
+  let f =
+    mkfunc
+      [ block "entry" [ Ir.Mov (2, Ir.Imm 5) ]
+          (Ir.Br { cond = Insn.Lt; src1 = Ir.Reg 1; src2 = Ir.Imm 3; ifso = "a"; ifnot = "join" })
+      ; block "a" [ Ir.Mov (2, Ir.Imm 7) ] (Ir.Jmp "join")
+      ; join ]
+  in
+  check_bool "unchanged" false (Elag_opt.Local_opt.run f);
+  check_bool "v2 not propagated" true (join.insts = join_insts)
+
+let test_global_copy_chain () =
+  let next = block "next" [] (ret 3) in
+  let f =
+    mkfunc [ block "entry" [ Ir.Mov (2, Ir.Imm 5); Ir.Mov (3, Ir.Reg 2) ] (Ir.Jmp "next"); next ]
+  in
+  check_bool "changed" true (Elag_opt.Local_opt.run f);
+  check_bool "v3 = v2 = 5 resolves to 5" true (next.term = Ir.Ret (Some (Ir.Imm 5)))
+
 (* --- semantics preservation (property) ------------------------------------- *)
 
 (* A tiny interpreter for straight-line instruction lists. *)
@@ -275,6 +323,10 @@ let interp_block insts term =
   | Ir.Ret (Some op) -> get op
   | _ -> 0
 
+(* Bins define a fresh register; Movs define a fresh one or redefine
+   an earlier one, often copying the latest, so the collapse and the
+   single-definition table both fire.  Every read names a register
+   defined before it. *)
 let random_straightline =
   let open QCheck.Gen in
   let op = oneofl [ Ir.Add; Ir.Sub; Ir.Mul; Ir.And; Ir.Or; Ir.Xor; Ir.Sll; Ir.Slt ] in
@@ -285,18 +337,27 @@ let random_straightline =
         [ (2, map (fun v -> Ir.Reg (v mod used)) (int_range 0 (used - 1)))
         ; (1, map (fun n -> Ir.Imm n) (int_range (-64) 64)) ]
   in
+  let bin used =
+    map3 (fun o a b -> (Ir.Bin (o, used, a, b), used + 1)) op (operand used) (operand used)
+  in
+  let latest_or_any used =
+    if used = 0 then operand used
+    else frequency [ (1, return (Ir.Reg (used - 1))); (2, operand used) ]
+  in
+  let mov used =
+    int_range 0 used >>= fun d ->
+    latest_or_any used >>= fun src ->
+    return (Ir.Mov (d, src), if d = used then used + 1 else used)
+  in
   let rec gen_insts used n =
-    if n = 0 then return []
+    if n = 0 then return ([], used)
     else
-      op >>= fun o ->
-      operand used >>= fun a ->
-      operand used >>= fun b ->
-      gen_insts (used + 1) (n - 1) >>= fun rest ->
-      return (Ir.Bin (o, used, a, b) :: rest)
+      frequency [ (2, bin used); (1, mov used) ] >>= fun (inst, used) ->
+      gen_insts used (n - 1) >>= fun (rest, used) -> return (inst :: rest, used)
   in
   int_range 1 20 >>= fun n ->
-  gen_insts 0 n >>= fun insts ->
-  int_range 0 (n - 1) >>= fun ret ->
+  gen_insts 0 n >>= fun (insts, used) ->
+  int_range 0 (used - 1) >>= fun ret ->
   return (insts, Ir.Ret (Some (Ir.Reg ret)))
 
 let local_opt_preserves_semantics =
@@ -342,6 +403,12 @@ let suite =
       test_addr_promote_makes_reg_offset
   ; Alcotest.test_case "unrolling" `Quick test_unroll_multiplies_static_loads
   ; Alcotest.test_case "purity summaries" `Quick test_purity_summaries
-  ; Alcotest.test_case "licm past pure calls" `Quick test_licm_hoists_load_past_pure_call ]
+  ; Alcotest.test_case "licm past pure calls" `Quick test_licm_hoists_load_past_pure_call
+  ; Alcotest.test_case "collapse single-use temp" `Quick test_collapse_single_use_temp
+  ; Alcotest.test_case "collapse keeps shared temp" `Quick test_collapse_keeps_shared_temp
+  ; Alcotest.test_case "global constant crosses blocks" `Quick
+      test_global_constant_crosses_blocks
+  ; Alcotest.test_case "global skips two definitions" `Quick test_global_skips_two_definitions
+  ; Alcotest.test_case "global copy chain" `Quick test_global_copy_chain ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false)
       [ local_opt_preserves_semantics; dce_never_changes_output ]
