@@ -11,49 +11,41 @@ module Ir = Elag_ir.Ir
 
 type level = O0 | O1 | O2
 
-(* One scalar round: cheap passes to a local fixpoint. *)
-let scalar_round f =
-  let changed = ref false in
-  let note c = if c then changed := true in
-  note (Simplify_cfg.run f);
-  note (Local_opt.run f);
-  note (Dce.run f);
-  !changed
+(* The scalar passes, run in turn until each has run once since the
+   last change: every pass reports exactly whether it changed [f], so
+   [f] is then a fixpoint of all three.  At most 10 rounds. *)
+let scalar_passes = [| Simplify_cfg.run; Local_opt.run; Dce.run |]
 
-(* Repeat [pass] until it reports no change, at most 10 times. *)
-let fixpoint pass f =
-  let rec go fuel = if fuel > 0 && pass f then go (fuel - 1) in
-  go 10
+let scalar f =
+  let n = Array.length scalar_passes in
+  (* [quiet]: calls in a row that changed nothing *)
+  let rec go calls quiet =
+    if quiet < n && calls < 10 * n then
+      go (calls + 1) (if scalar_passes.(calls mod n) f then 0 else quiet + 1)
+  in
+  go 0 0
 
-let optimize_func ?(level = O2) (f : Ir.func) =
+(* Run [pass]; a scalar fixpoint follows only when it changed [f]. *)
+let then_scalar f pass = if pass f then scalar f
+
+let optimize_func level f =
   match level with
   | O0 -> ()
-  | O1 -> fixpoint scalar_round f
+  | O1 -> scalar f
   | O2 ->
-    fixpoint scalar_round f;
-    ignore (Licm.run f);
-    fixpoint scalar_round f;
-    ignore (Strength_reduce.run f);
-    fixpoint scalar_round f;
-    ignore (Addr_promote.run f);
-    fixpoint scalar_round f
+    scalar f;
+    List.iter (then_scalar f) [ (fun f -> Licm.run f); Strength_reduce.run; Addr_promote.run ]
 
 let optimize ?(level = O2) ?(inline_threshold = Inline.default_threshold)
     ?(unroll_factor = Unroll.default_factor) (p : Ir.program) =
   if level <> O0 then ignore (Inline.run ~threshold:inline_threshold p);
-  List.iter (optimize_func ~level) p.Ir.funcs;
+  List.iter (optimize_func level) p.Ir.funcs;
   if level = O2 then begin
     (* interprocedural round: with function summaries, loops containing
        calls to store-free functions still get their loads hoisted *)
     let summaries = Purity.analyze p in
-    List.iter
-      (fun f ->
-        if Licm.run ~summaries f then fixpoint scalar_round f)
-      p.Ir.funcs;
+    List.iter (fun f -> then_scalar f (Licm.run ~summaries)) p.Ir.funcs;
     if unroll_factor >= 2 then
-      List.iter
-        (fun f ->
-          if Unroll.run ~factor:unroll_factor f then fixpoint scalar_round f)
-        p.Ir.funcs
+      List.iter (fun f -> then_scalar f (Unroll.run ~factor:unroll_factor)) p.Ir.funcs
   end;
   p

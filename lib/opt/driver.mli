@@ -7,9 +7,9 @@
 
 type level = O0 | O1 | O2
 (** [O0]: no optimization. [O1]: scalar passes to a fixpoint.
-    [O2]: adds loop optimizations and unrolling (the default). *)
-
-val optimize_func : ?level:level -> Elag_ir.Ir.func -> unit
+    [O2]: adds loop optimizations and unrolling (the default); each of
+    those is followed by a scalar fixpoint only when it changed the
+    function. *)
 
 val optimize :
   ?level:level ->

@@ -11,8 +11,9 @@
    2. Collects the function-wide values: [v] defined exactly once as
       [v = const], or as [v = w] with [w] itself defined once.  Without
       SSA this is sound only if that single definition dominates every
-      use of [v]; a read of [v] before its definition (MiniC accepts
-      reads of uninitialized locals) sees the value anyway.
+      use, so neither register may be live into the entry block (MiniC
+      accepts reads of uninitialized locals); parameters are defined
+      on entry.
 
    3. Walks each block: constant folding and propagation, copy
       propagation, common-subexpression elimination on pure operations,
@@ -25,32 +26,43 @@
    the block.  The block is walked forward while maintaining:
    - [values]: the current known value (constant or copy source) of
      each virtual register;
-   - [exprs]: available pure expressions keyed by (op, operands);
+   - [exprs]: the register holding each available pure operation,
+     data-label address or frame-slot address;
    - [mem]: available memory values keyed by canonical address+size.
 
    Invalidations: redefining [v] drops every table entry mentioning
    [v]; stores and calls drop memory entries (a store then records its
    own forwarding entry).
 
-   Collapses, function-wide substitutions, folds, CSE hits and
-   forwarded loads count as changes; block-local substitutions do not
-   (DESIGN §14, "Known gap"). *)
+   [run] reports a change exactly when some block's instructions or
+   terminator differ from what they were before the call. *)
 
 module Ir = Elag_ir.Ir
+module Cfg = Elag_ir.Cfg
+module Liveness = Elag_ir.Liveness
+module Bitset = Elag_ir.Bitset
 
 module Insn = Elag_isa.Insn
 module Alu = Elag_isa.Alu
 
+(* A value a register can hold and another register can reuse. *)
+type expr =
+  | Op of Ir.binop * Ir.operand * Ir.operand
+  | Global of string  (* [Global_addr] of a data label *)
+  | Slot of int  (* [Slot_addr] of a frame slot *)
+
 type env =
   { mutable values : (Ir.vreg * Ir.operand) list
-  ; mutable exprs : ((Ir.binop * Ir.operand * Ir.operand) * Ir.vreg) list
-  ; mutable addrs : ((string * int) * Ir.vreg) list
-    (* Global_addr/Slot_addr availability: key = (kind-tagged name, n) *)
+  ; mutable exprs : (expr * Ir.vreg) list
   ; mutable mem : ((Ir.address * Insn.mem_size * Insn.signedness) * Ir.operand) list }
 
-let empty () = { values = []; exprs = []; addrs = []; mem = [] }
+let empty () = { values = []; exprs = []; mem = [] }
 
 let operand_mentions v = function Ir.Reg w -> w = v | Ir.Imm _ -> false
+
+let expr_mentions v = function
+  | Op (_, a, b) -> operand_mentions v a || operand_mentions v b
+  | Global _ | Slot _ -> false
 
 let address_mentions v = function
   | Ir.Base (b, _) -> b = v
@@ -61,12 +73,7 @@ let address_mentions v = function
 let invalidate env v =
   env.values <-
     List.filter (fun (d, op) -> d <> v && not (operand_mentions v op)) env.values;
-  env.exprs <-
-    List.filter
-      (fun ((_, a, b), d) ->
-        d <> v && not (operand_mentions v a) && not (operand_mentions v b))
-      env.exprs;
-  env.addrs <- List.filter (fun (_, d) -> d <> v) env.addrs;
+  env.exprs <- List.filter (fun (e, d) -> d <> v && not (expr_mentions v e)) env.exprs;
   env.mem <-
     List.filter
       (fun ((addr, _, _), value) ->
@@ -108,9 +115,6 @@ let simplify_bin op a b =
     let a, b = normalize_bin op a b in
     `Op (op, a, b)
 
-let addr_key_global label = ("G:" ^ label, 0)
-let addr_key_slot slot = ("S:", slot)
-
 (* Two memory accesses conflict unless they are provably disjoint.  We
    only prove disjointness for absolute addresses (static data). *)
 let may_alias (a1, s1, _) a2 s2 =
@@ -126,86 +130,48 @@ let may_alias (a1, s1, _) a2 s2 =
 
 (* [global v] is [v]'s function-wide value, or [Reg v]. *)
 let run_block ~global env (b : Ir.block) =
-  let changed = ref false in
   (* The operand a use of [v] stands for. *)
   let subst v =
     match global v with
     | Ir.Reg w when w = v -> (
       match List.assoc_opt v env.values with Some op -> op | None -> Ir.Reg v)
-    | op ->
-      changed := true;
-      op
+    | op -> op
   in
   let out = ref [] in
   let keep inst = out := inst :: !out in
-  let define v =
-    invalidate env v
+  let define = invalidate env in
+  (* [dst = op], with [op] now [dst]'s known value *)
+  let copy dst op =
+    define dst;
+    if op <> Ir.Reg dst then env.values <- (dst, op) :: env.values;
+    keep (Ir.Mov (dst, op))
   in
-  let record_value v op =
-    if op <> Ir.Reg v then env.values <- (v, op) :: env.values
+  (* [inst] sets [dst] to [e]: reuse a register already holding [e],
+     else keep [inst] and make [e] available in [dst] *)
+  let compute dst e inst =
+    match List.assoc_opt e env.exprs with
+    | Some prev when prev <> dst -> copy dst (Ir.Reg prev)
+    | _ ->
+      define dst;
+      (* an expression whose operands mention [dst] reads the
+         pre-assignment value and must not become available *)
+      if not (expr_mentions dst e) then env.exprs <- (e, dst) :: env.exprs;
+      keep inst
   in
   List.iter
     (fun inst ->
       match Ir.map_inst_uses subst inst with
       | Ir.Bin (op, dst, a, b) -> begin
         match simplify_bin op a b with
-        | `Value op_val ->
-          define dst;
-          record_value dst op_val;
-          keep (Ir.Mov (dst, op_val));
-          changed := true
-        | `Op (op, a, b) -> begin
-          match List.assoc_opt (op, a, b) env.exprs with
-          | Some prev when prev <> dst ->
-            define dst;
-            record_value dst (Ir.Reg prev);
-            keep (Ir.Mov (dst, Ir.Reg prev));
-            changed := true
-          | _ ->
-            define dst;
-            (* an expression whose operands mention [dst] reads the
-               pre-assignment value and must not become available *)
-            if not (operand_mentions dst a || operand_mentions dst b) then
-              env.exprs <- ((op, a, b), dst) :: env.exprs;
-            keep (Ir.Bin (op, dst, a, b))
-        end
+        | `Value op_val -> copy dst op_val
+        | `Op (op, a, b) -> compute dst (Op (op, a, b)) (Ir.Bin (op, dst, a, b))
       end
-      | Ir.Mov (dst, src) as inst ->
-        define dst;
-        record_value dst src;
-        keep inst
-      | Ir.Global_addr (dst, label) -> begin
-        match List.assoc_opt (addr_key_global label) env.addrs with
-        | Some prev when prev <> dst ->
-          define dst;
-          record_value dst (Ir.Reg prev);
-          keep (Ir.Mov (dst, Ir.Reg prev));
-          changed := true
-        | _ ->
-          define dst;
-          env.addrs <- (addr_key_global label, dst) :: env.addrs;
-          keep (Ir.Global_addr (dst, label))
-      end
-      | Ir.Slot_addr (dst, slot) -> begin
-        match List.assoc_opt (addr_key_slot slot) env.addrs with
-        | Some prev when prev <> dst ->
-          define dst;
-          record_value dst (Ir.Reg prev);
-          keep (Ir.Mov (dst, Ir.Reg prev));
-          changed := true
-        | _ ->
-          define dst;
-          env.addrs <- (addr_key_slot slot, dst) :: env.addrs;
-          keep (Ir.Slot_addr (dst, slot))
-      end
+      | Ir.Mov (dst, src) -> copy dst src
+      | Ir.Global_addr (dst, label) as inst -> compute dst (Global label) inst
+      | Ir.Slot_addr (dst, slot) as inst -> compute dst (Slot slot) inst
       | Ir.Load { dst; addr; size; sign; _ } as inst -> begin
         match List.assoc_opt (addr, size, sign) env.mem with
-        | Some value ->
-          (* redundant load: the value is already known *)
-          define dst;
-          record_value dst value;
-          keep (Ir.Mov (dst, value));
-          changed := true
+        | Some value -> copy dst value (* redundant load: the value is already known *)
         | None ->
           define dst;
           (* pointer-chasing loads ([v = ld \[v\]]) overwrite their own
@@ -227,14 +193,12 @@ let run_block ~global env (b : Ir.block) =
         keep inst)
     b.insts;
   b.insts <- List.rev !out;
-  b.term <- Ir.map_term_uses subst b.term;
   (* fold constant branches right away *)
-  (match b.term with
-  | Ir.Br { cond; src1 = Ir.Imm x; src2 = Ir.Imm y; ifso; ifnot } ->
-    b.term <- Ir.Jmp (if Alu.eval_cond cond x y then ifso else ifnot);
-    changed := true
-  | _ -> ());
-  !changed
+  b.term <-
+    (match Ir.map_term_uses subst b.term with
+    | Ir.Br { cond; src1 = Ir.Imm x; src2 = Ir.Imm y; ifso; ifnot } ->
+      Ir.Jmp (if Alu.eval_cond cond x y then ifso else ifnot)
+    | t -> t)
 
 (* Use and definition counts, indexed by vreg.  Parameters count as
    defined once on entry. *)
@@ -255,7 +219,6 @@ let count (f : Ir.func) =
 
 (* Step 1: retarget [t = op ...] to [v] and drop [v = t]. *)
 let collapse ~uses ~defs (b : Ir.block) =
-  let changed = ref false in
   let collapsible t v = t <> v && uses.(t) = 1 && defs.(t) = 1 in
   let rec rewrite = function
     | inst :: Ir.Mov (v, Ir.Reg t) :: rest when List.mem t (Ir.inst_defs inst) -> begin
@@ -269,22 +232,25 @@ let collapse ~uses ~defs (b : Ir.block) =
         | _ -> None
       in
       match retargeted with
-      | Some inst' ->
-        changed := true;
-        inst' :: rewrite rest
+      | Some inst' -> inst' :: rewrite rest
       | None -> inst :: rewrite (Ir.Mov (v, Ir.Reg t) :: rest)
     end
     | inst :: rest -> inst :: rewrite rest
     | [] -> []
   in
-  b.insts <- rewrite b.insts;
-  !changed
+  b.insts <- rewrite b.insts
 
 (* Step 2: the function-wide value of each single-definition constant
-   or copy, with copy chains [v -> w -> x] resolved. *)
+   or copy, with copy chains [v -> w -> x] resolved.  The definition of
+   a register not live into the entry block lies on every path from the
+   entry to its uses, so it dominates them; a parameter is defined on
+   entry.  Liveness is computed only once a candidate needs it. *)
 let global_values ~defs (f : Ir.func) =
   let known = Array.make f.next_vreg None in
-  let single v = defs.(v) = 1 in
+  let live = lazy (Liveness.live_in (Liveness.compute (Cfg.of_func f)) 0) in
+  let single v =
+    defs.(v) = 1 && (List.mem v f.params || not (Bitset.mem (Lazy.force live) v))
+  in
   List.iter
     (fun (b : Ir.block) ->
       List.iter
@@ -303,11 +269,9 @@ let global_values ~defs (f : Ir.func) =
   resolve []
 
 let run (f : Ir.func) =
+  let before = List.map (fun (b : Ir.block) -> (b.insts, b.term)) f.blocks in
   let uses, defs = count f in
-  let changed = ref false in
-  List.iter (fun b -> if collapse ~uses ~defs b then changed := true) f.Ir.blocks;
+  List.iter (collapse ~uses ~defs) f.blocks;
   let global = global_values ~defs f in
-  List.iter
-    (fun b -> if run_block ~global (empty ()) b then changed := true)
-    f.Ir.blocks;
-  !changed
+  List.iter (fun b -> run_block ~global (empty ()) b) f.blocks;
+  List.exists2 (fun (b : Ir.block) old -> (b.insts, b.term) <> old) f.blocks before

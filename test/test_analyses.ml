@@ -9,7 +9,8 @@
    The IR comes from hand-built corner cases (unreachable blocks,
    self-loops, [Br] with [ifso = ifnot], an irreducible cycle) and from
    snapshots of real programs after lowering and after each optimizer
-   pass that changed them. *)
+   pass that changed them; a pass that reports no change must leave its
+   function's printed form as it was. *)
 
 module Ir = Elag_ir.Ir
 module Cfg = Elag_ir.Cfg
@@ -292,7 +293,18 @@ let check_program name source =
   check_all "lowering";
   if Opt.Inline.run p then check_all "inline";
   let per_func pass run =
-    List.iter (fun f -> if run f then check_func ~where:(name ^ " after " ^ pass) f) p.Ir.funcs
+    List.iter
+      (fun (f : Ir.func) ->
+        let before = Fmt.str "%a" Ir.pp_func f in
+        let where = name ^ " after " ^ pass in
+        if run f then check_func ~where f
+        else
+          let after = Fmt.str "%a" Ir.pp_func f in
+          if after <> before then
+            Alcotest.(check string)
+              (Printf.sprintf "%s: %s reported no change" where f.name)
+              before after)
+      p.Ir.funcs
   in
   let scalar () =
     per_func "simplify_cfg" Opt.Simplify_cfg.run;

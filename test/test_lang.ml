@@ -44,6 +44,10 @@ let suite =
       "int main() { if (4294967296 == 0) print_int(1); else print_int(2); \
        if (4294967295 < 0) print_int(3); else print_int(4); return 0; }"
       "1\n3\n"
+  ; t "a read before the only assignment is not propagated"
+      "int main() { int x; int y; int i; y = 0; for (i = 0; i < 2; i++) { \
+       y = y + x; x = 5; } print_int(y); return 0; }"
+      "5\n"
   ; t "bitwise and shifts"
       "int main() { print_int((0xF0 | 0x0F) ^ 0xFF); print_int(1 << 10); \
        print_int((0-8) >> 1); return 0; }"

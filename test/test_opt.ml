@@ -304,6 +304,43 @@ let test_global_copy_chain () =
   check_bool "changed" true (Elag_opt.Local_opt.run f);
   check_bool "v3 = v2 = 5 resolves to 5" true (next.term = Ir.Ret (Some (Ir.Imm 5)))
 
+(* [Global_addr], [Slot_addr] and [Bin] share one availability table. *)
+let test_address_reuse () =
+  let entry =
+    block "entry"
+      [ Ir.Global_addr (2, "g"); Ir.Global_addr (3, "g"); Ir.Slot_addr (4, 0)
+      ; Ir.Slot_addr (5, 0); Ir.Bin (Ir.Add, 6, Ir.Reg 3, Ir.Reg 5) ]
+      (ret 6)
+  in
+  check_bool "changed" true (Elag_opt.Local_opt.run (mkfunc [ entry ]));
+  check_bool "repeats become copies of the first register" true
+    (entry.insts
+    = [ Ir.Global_addr (2, "g"); Ir.Mov (3, Ir.Reg 2); Ir.Slot_addr (4, 0)
+      ; Ir.Mov (5, Ir.Reg 4); Ir.Bin (Ir.Add, 6, Ir.Reg 2, Ir.Reg 4) ])
+
+let test_address_not_reused_after_redefinition () =
+  let insts =
+    [ Ir.Global_addr (2, "g"); Ir.Bin (Ir.Add, 2, Ir.Reg 2, Ir.Imm 4); Ir.Global_addr (3, "g")
+    ; Ir.Slot_addr (4, 0); Ir.Mov (4, Ir.Imm 0); Ir.Slot_addr (5, 0)
+    ; Ir.Bin (Ir.Add, 6, Ir.Reg 3, Ir.Reg 5) ]
+  in
+  let entry = block "entry" insts (ret 6) in
+  check_bool "unchanged" false (Elag_opt.Local_opt.run (mkfunc [ entry ]));
+  check_bool "both addresses recomputed" true (entry.insts = insts)
+
+(* A rewrite that only substitutes within the block or swaps operands
+   still counts. *)
+let test_every_rewrite_reported () =
+  let subst =
+    block "entry"
+      [ Ir.Mov (2, Ir.Reg 1); Ir.Bin (Ir.Sub, 3, Ir.Reg 2, Ir.Imm 1); Ir.Mov (2, Ir.Imm 0) ]
+      (ret 3)
+  in
+  check_bool "block-local substitution" true (Elag_opt.Local_opt.run (mkfunc [ subst ]));
+  let swap = block "entry" [ Ir.Bin (Ir.Add, 3, Ir.Imm 1, Ir.Reg 1) ] (ret 3) in
+  check_bool "operand swap" true (Elag_opt.Local_opt.run (mkfunc [ swap ]));
+  check_bool "immediate second" true (swap.insts = [ Ir.Bin (Ir.Add, 3, Ir.Reg 1, Ir.Imm 1) ])
+
 (* --- semantics preservation (property) ------------------------------------- *)
 
 (* A tiny interpreter for straight-line instruction lists. *)
@@ -409,6 +446,10 @@ let suite =
   ; Alcotest.test_case "global constant crosses blocks" `Quick
       test_global_constant_crosses_blocks
   ; Alcotest.test_case "global skips two definitions" `Quick test_global_skips_two_definitions
-  ; Alcotest.test_case "global copy chain" `Quick test_global_copy_chain ]
+  ; Alcotest.test_case "global copy chain" `Quick test_global_copy_chain
+  ; Alcotest.test_case "address reuse" `Quick test_address_reuse
+  ; Alcotest.test_case "address not reused after redefinition" `Quick
+      test_address_not_reused_after_redefinition
+  ; Alcotest.test_case "every rewrite reported" `Quick test_every_rewrite_reported ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false)
       [ local_opt_preserves_semantics; dce_never_changes_output ]
