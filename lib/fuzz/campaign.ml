@@ -20,6 +20,8 @@
    workflow, not the campaign loop. *)
 
 module Config = Elag_sim.Config
+module Pipeline = Elag_sim.Pipeline
+module Emulator = Elag_sim.Emulator
 module Oracle = Elag_verify.Oracle
 module Lint = Elag_verify.Lint
 module Fault = Elag_verify.Fault
@@ -198,10 +200,26 @@ let run_iteration config (iter, seed) =
     | _ -> (
       (* One oracle verdict covers every preset: the retire stream is a
          function of the program alone, so the first preset runs under
-         the oracle and each remaining one is only timed, one pipeline
-         live at a time.  [oracle_runs] counts the preset runs the
-         verdict covers. *)
+         the oracle and each remaining one is only timed.  The timed
+         presets share one pipeline and one emulator, the first
+         creating them and each later one resetting them.
+         [oracle_runs] counts the preset runs the verdict covers. *)
       let crash = crash ~program in
+      let shared = ref None in
+      let time cfg =
+        let pipe, emu =
+          match !shared with
+          | None ->
+            let pair = (Pipeline.create cfg, Emulator.create program) in
+            shared := Some pair;
+            pair
+          | Some ((pipe, emu) as pair) ->
+            Pipeline.reset pipe cfg;
+            Emulator.reset emu;
+            pair
+        in
+        Emulator.run ~observer:(Pipeline.observer pipe) ~max_insns:budget emu
+      in
       List.iteri
         (fun k mechanism ->
           if not !stop then begin
@@ -209,9 +227,7 @@ let run_iteration config (iter, seed) =
             let mech_name = Config.Mechanism.to_string mechanism in
             incr oracle_runs;
             if k > 0 then
-              match Elag_sim.Pipeline.simulate ~max_insns:budget cfg program with
-              | exception e -> crash mech_name e
-              | _ -> ()
+              match time cfg with exception e -> crash mech_name e | () -> ()
             else
               match
                 Oracle.run ~max_insns:budget

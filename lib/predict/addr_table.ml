@@ -14,13 +14,26 @@ type t =
   ; mutable hits : int
   ; mutable correct : int }
 
+let reset t =
+  Array.iter
+    (fun slot ->
+      slot.tag <- -1;
+      Stride_entry.replace slot.entry 0)
+    t.slots;
+  t.probes <- 0;
+  t.hits <- 0;
+  t.correct <- 0
+
 let create entries =
   if entries <= 0 then invalid_arg "Addr_table.create";
-  { slots =
-      Array.init entries (fun _ -> { tag = -1; entry = Stride_entry.allocate 0 })
-  ; probes = 0
-  ; hits = 0
-  ; correct = 0 }
+  let t =
+    { slots = Array.init entries (fun _ -> { tag = 0; entry = Stride_entry.allocate 0 })
+    ; probes = 0
+    ; hits = 0
+    ; correct = 0 }
+  in
+  reset t;
+  t
 
 let size t = Array.length t.slots
 

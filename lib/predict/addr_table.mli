@@ -9,6 +9,10 @@ val create : int -> t
 (** [create entries]; raises [Invalid_argument] on a non-positive
     size. *)
 
+val reset : t -> unit
+(** Invalidate every slot and zero the counters: [t] is then as
+    {!create} left it. *)
+
 val size : t -> int
 
 val hit : t -> int -> bool

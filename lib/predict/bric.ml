@@ -21,14 +21,28 @@ type t =
   ; mutable hits : int
   ; mutable evictions : int }
 
+let reset t =
+  Array.fill t.regs 0 (Array.length t.regs) 0;
+  Array.fill t.valid_from 0 (Array.length t.valid_from) 0;
+  t.count <- 0;
+  t.probes <- 0;
+  t.hits <- 0;
+  t.evictions <- 0
+
 let create capacity =
   if capacity <= 0 then invalid_arg "Bric.create";
-  { regs = Array.make capacity 0
-  ; valid_from = Array.make capacity 0
-  ; count = 0
-  ; probes = 0
-  ; hits = 0
-  ; evictions = 0 }
+  let t =
+    { regs = Array.make capacity 0
+    ; valid_from = Array.make capacity 0
+    ; count = 0
+    ; probes = 0
+    ; hits = 0
+    ; evictions = 0 }
+  in
+  reset t;
+  t
+
+let capacity t = Array.length t.regs
 
 (* Slot holding [reg], or -1. *)
 let find t reg =
@@ -66,8 +80,7 @@ let probe t ~cycle reg =
     usable
   end
   else begin
-    let capacity = Array.length t.regs in
-    if t.count >= capacity then t.evictions <- t.evictions + 1
+    if t.count >= capacity t then t.evictions <- t.evictions + 1
     else t.count <- t.count + 1;
     (* the LRU slot [count - 1] is either free or the victim *)
     push_front t (t.count - 1) reg (cycle + 1);

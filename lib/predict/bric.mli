@@ -10,6 +10,12 @@ type t
 val create : int -> t
 (** Capacity in entries; raises [Invalid_argument] if non-positive. *)
 
+val reset : t -> unit
+(** Drop every resident entry and zero the counters: [t] is then as
+    {!create} left it. *)
+
+val capacity : t -> int
+
 val peek : t -> cycle:int -> int -> bool
 (** Pure hit test: resident with a usable value. *)
 

@@ -11,12 +11,23 @@ type t =
 
 type prediction = { pred_taken : bool; pred_target : int }
 
+let reset t =
+  let n = Array.length t.tags in
+  Array.fill t.tags 0 n (-1);
+  Array.fill t.targets 0 n 0;
+  Array.fill t.counters 0 n 0;
+  t.mispredictions <- 0
+
 let create entries =
   if entries <= 0 then invalid_arg "Btb.create";
-  { tags = Array.make entries (-1)
-  ; targets = Array.make entries 0
-  ; counters = Array.make entries 0
-  ; mispredictions = 0 }
+  let t =
+    { tags = Array.make entries 0
+    ; targets = Array.make entries 0
+    ; counters = Array.make entries 0
+    ; mispredictions = 0 }
+  in
+  reset t;
+  t
 
 let index t pc = pc mod Array.length t.tags
 

@@ -8,6 +8,10 @@ type prediction = { pred_taken : bool; pred_target : int }
 
 val create : int -> t
 
+val reset : t -> unit
+(** Invalidate every slot and zero the misprediction count: [t] is
+    then as {!create} left it. *)
+
 val predict : t -> int -> prediction
 (** Prediction for the control instruction at [pc]; a miss predicts
     not-taken, falling through to [pc + 1]. *)

@@ -18,20 +18,32 @@ let log2 n =
   let rec go k v = if v >= n then k else go (k + 1) (v * 2) in
   go 0 1
 
+(* Every line invalid, every counter zero. *)
+let reset t =
+  Array.fill t.tags 0 (Array.length t.tags) (-1);
+  Array.fill t.stamps 0 (Array.length t.stamps) 0;
+  t.clock <- 0;
+  t.accesses <- 0;
+  t.misses <- 0
+
 let create ?(ways = 1) ~size_bytes ~line_bytes () =
   if
     size_bytes <= 0 || line_bytes <= 0 || ways <= 0
     || size_bytes mod (line_bytes * ways) <> 0
   then invalid_arg "Cache.create";
   let sets = size_bytes / line_bytes / ways in
-  { line_bits = log2 line_bytes
-  ; sets
-  ; ways
-  ; tags = Array.make (sets * ways) (-1)
-  ; stamps = Array.make (sets * ways) 0
-  ; clock = 0
-  ; accesses = 0
-  ; misses = 0 }
+  let t =
+    { line_bits = log2 line_bytes
+    ; sets
+    ; ways
+    ; tags = Array.make (sets * ways) 0
+    ; stamps = Array.make (sets * ways) 0
+    ; clock = 0
+    ; accesses = 0
+    ; misses = 0 }
+  in
+  reset t;
+  t
 
 (* Index of the way holding [line] in its set, or -1. *)
 let find_way t line =

@@ -6,6 +6,11 @@
 type t
 
 val create : ?ways:int -> size_bytes:int -> line_bytes:int -> unit -> t
+(** An empty cache: {!reset} after allocation. *)
+
+val reset : t -> unit
+(** Invalidate every line and zero the counters, keeping the
+    geometry. *)
 
 val line : t -> int -> int
 (** The line an address falls in: addresses share a line exactly when

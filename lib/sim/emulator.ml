@@ -30,19 +30,32 @@ type t =
    for loads and stores only; [taken] for control transfers. *)
 type observer = int -> Insn.t -> int -> bool -> int -> unit
 
-let create (program : Program.t) =
-  let memory = Memory.create () in
-  Memory.load_image memory (Program.data_image program);
+(* Back to the program's entry: the data image in otherwise zeroed
+   memory, zeroed registers, nothing retired or printed. *)
+let reset t =
+  Memory.reset t.memory;
+  Memory.load_image t.memory (Program.data_image t.program);
   (* publish the heap base in the reserved slot below the data
      segment, where the workloads' allocator reads it *)
-  Memory.write_word memory Layout.heap_pointer_slot (Program.heap_base program);
-  { program
-  ; memory
-  ; regs = Array.make Reg.count 0
-  ; pc = Program.entry program
-  ; halted = false
-  ; retired = 0
-  ; output = Buffer.create 256 }
+  Memory.write_word t.memory Layout.heap_pointer_slot (Program.heap_base t.program);
+  Array.fill t.regs 0 Reg.count 0;
+  t.pc <- Program.entry t.program;
+  t.halted <- false;
+  t.retired <- 0;
+  Buffer.clear t.output
+
+let create (program : Program.t) =
+  let t =
+    { program
+    ; memory = Memory.create ()
+    ; regs = Array.make Reg.count 0
+    ; pc = 0
+    ; halted = false
+    ; retired = 0
+    ; output = Buffer.create 256 }
+  in
+  reset t;
+  t
 
 let output t = Buffer.contents t.output
 

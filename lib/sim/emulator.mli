@@ -28,6 +28,13 @@ val create : Elag_isa.Program.t -> t
 (** A fresh emulator over a {!Memory.default_size} memory holding the
     program's data image. *)
 
+val reset : t -> unit
+(** Put [t] back into the state {!create} left it in: the data image
+    restored, registers zeroed, the pc at the entry point, no
+    instruction retired and no output.  The memory keeps the pages the
+    last run wrote, so running the same program again allocates no
+    pages. *)
+
 val step : ?observer:observer -> t -> bool
 (** Retire exactly one instruction; [false] when already halted.  The
     lockstep primitive behind {!Elag_verify.Oracle}: a reference

@@ -4,8 +4,11 @@
    page starts out as the shared, never-written [zero_page]; the first
    write to a page gives it its own zeroed bytes.  Creating a memory
    therefore costs one page table, not [size] zeroed bytes, and a
-   program that touches a few KB pays for a few pages.  Bounds are
-   checked against [size] exactly as for a flat array. *)
+   program that touches a few KB pays for a few pages.  [reset] zeroes
+   the pages that have their own bytes and keeps them, so a memory
+   reused for another run allocates nothing for the pages it touched
+   before.  Bounds are checked against [size] exactly as for a flat
+   array. *)
 
 let page_bits = 12
 let page_size = 1 lsl page_bits
@@ -16,14 +19,20 @@ let zero_page = Bytes.make page_size '\000'
 
 type t =
   { pages : Bytes.t array
-  ; size : int }
+  ; size : int
+  ; mutable owned : int list  (* pages that have their own bytes *) }
 
 exception Fault of int
 
 let default_size = 16 * 1024 * 1024
 
+let reset t = List.iter (fun i -> Bytes.fill t.pages.(i) 0 page_size '\000') t.owned
+
 let create ?(size = default_size) () =
-  { pages = Array.make ((size + page_mask) lsr page_bits) zero_page; size }
+  let pages = Array.make ((size + page_mask) lsr page_bits) zero_page in
+  let t = { pages; size; owned = [] } in
+  reset t;
+  t
 
 let size t = t.size
 
@@ -37,6 +46,7 @@ let writable_page t addr =
   else begin
     let p = Bytes.make page_size '\000' in
     Array.unsafe_set t.pages i p;
+    t.owned <- i :: t.owned;
     p
   end
 

@@ -14,6 +14,10 @@ val default_size : int
 val create : ?size:int -> unit -> t
 (** Costs one page table; no page is materialized until written. *)
 
+val reset : t -> unit
+(** Zero every byte, keeping the pages written so far: later writes to
+    them allocate nothing. *)
+
 val size : t -> int
 
 val read_byte_u : t -> int -> int

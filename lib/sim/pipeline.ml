@@ -69,15 +69,6 @@ type stats =
   ; mutable dcache_misses : int
   ; mutable btb_mispredicts : int }
 
-let fresh_stats () =
-  { cycles = 0; instructions = 0; loads = 0; stores = 0
-  ; loads_n = 0; loads_p = 0; loads_e = 0
-  ; table_attempts = 0; table_successes = 0
-  ; calc_attempts = 0; calc_successes = 0
-  ; wasted_spec = 0; load_latency_sum = 0
-  ; icache_misses = 0; dcache_accesses = 0; dcache_misses = 0
-  ; btb_mispredicts = 0 }
-
 type load_site =
   { site_pc : int
   ; site_spec : Insn.load_spec
@@ -95,8 +86,13 @@ type path = No_path | Table_path | Calc_path
 
 type control = Not_control | Predicted | Direct
 
+(* Which configured latency a non-load result has; [process] reads the
+   cycles from the config, so a decode serves every config. *)
+type latency = Single_cycle | Multiply | Divide
+
 (* Everything [process] needs from one static instruction, decoded on
-   the first retire of its PC and reused on every later one. *)
+   the first retire of its PC and reused on every later one, across
+   {!reset} too: it depends on the instruction alone. *)
 type decoded =
   { insn : Insn.t  (* what this was decoded from; another insn re-decodes *)
   ; srcs : int array  (* {!Insn.uses}, in order *)
@@ -108,20 +104,33 @@ type decoded =
   ; spec : Insn.load_spec  (* loads only *)
   ; bytes : int  (* access width of loads and stores *)
   ; base : int  (* base register of a register+offset address, or -1 *)
-  ; latency : int  (* result latency unless a load: 1, mul or div *)
+  ; latency : latency  (* result latency unless a load *)
   ; control : control  (* Predicted: BTB-resolved; Direct: jump/jal *)
   ; site : load_site  (* loads only; [no_site] otherwise *) }
 
+let clear_site site =
+  site.site_table_attempts <- 0;
+  site.site_table_successes <- 0;
+  site.site_calc_attempts <- 0;
+  site.site_calc_successes <- 0;
+  site.site_wasted_spec <- 0;
+  site.site_dcache_misses <- 0;
+  Histogram.reset site.site_latency
+
 let new_site pc spec =
-  { site_pc = pc
-  ; site_spec = spec
-  ; site_table_attempts = 0
-  ; site_table_successes = 0
-  ; site_calc_attempts = 0
-  ; site_calc_successes = 0
-  ; site_wasted_spec = 0
-  ; site_dcache_misses = 0
-  ; site_latency = Histogram.create ~bounds:Histogram.load_latency_bounds }
+  let site =
+    { site_pc = pc
+    ; site_spec = spec
+    ; site_table_attempts = 0
+    ; site_table_successes = 0
+    ; site_calc_attempts = 0
+    ; site_calc_successes = 0
+    ; site_wasted_spec = 0
+    ; site_dcache_misses = 0
+    ; site_latency = Histogram.create ~bounds:Histogram.load_latency_bounds }
+  in
+  clear_site site;
+  site
 
 (* Sentinels for PCs not yet seen.  [undecoded.insn] is a fresh block,
    physically distinct from every instruction a program can retire. *)
@@ -130,19 +139,21 @@ let no_site = new_site (-1) Insn.Ld_n
 let undecoded =
   { insn = Insn.Jump (String.make 1 '?')
   ; srcs = [||]; dst = -1; alu = false; branch = false; is_load = false
-  ; is_store = false; spec = Insn.Ld_n; bytes = 0; base = -1; latency = 1
+  ; is_store = false; spec = Insn.Ld_n; bytes = 0; base = -1; latency = Single_cycle
   ; control = Not_control; site = no_site }
 
 let ring_size = 1024
 let ring_mask = ring_size - 1
 
+(* The structures [cfg] sizes are mutable so that {!reset} can swap in
+   one of another size. *)
 type t =
-  { cfg : Config.t
-  ; icache : Cache.t
-  ; dcache : Cache.t
-  ; btb : Btb.t
-  ; table : Addr_table.t option
-  ; bric : Bric.t option  (* R_addr under [Dual], the BRIC under [Calc_only] *)
+  { mutable cfg : Config.t
+  ; mutable icache : Cache.t
+  ; mutable dcache : Cache.t
+  ; mutable btb : Btb.t
+  ; mutable table : Addr_table.t option
+  ; mutable bric : Bric.t option  (* R_addr under [Dual], the BRIC under [Calc_only] *)
   ; reg_ready : int array
   ; reg_cause : Stall.t array  (* why waiting on this register stalls *)
   ; port_cycle : int array  (* ring: which cycle this slot describes *)
@@ -154,12 +165,12 @@ type t =
   ; mutable fetch_ready : int
   ; mutable fetch_cause : Stall.t  (* why waiting on the front end stalls *)
   ; mutable decoded : decoded array  (* by PC *)
-  ; mutable sites : load_site array  (* by PC; [no_site] until first retire *)
+  ; mutable sites : load_site array  (* by PC; [no_site] unless a load *)
   (* in-flight stores, a FIFO ring in issue order: slots
      [st_head, st_head + st_len) modulo the capacity *)
-  ; st_cycle : int array
-  ; st_addr : int array
-  ; st_bytes : int array
+  ; mutable st_cycle : int array
+  ; mutable st_addr : int array
+  ; mutable st_bytes : int array
   ; mutable st_head : int
   ; mutable st_len : int
   (* the candidate issue cycle's early path and speculative access,
@@ -176,76 +187,151 @@ type t =
   ; mutable busy_cycles : int  (* distinct cycles with >= 1 issue *)
   ; stall_cycles : int array   (* indexed by Stall.index *)
   ; mutable drain_cause : Stall.t  (* cause of the latest writeback *)
-  ; stats : stats
-    (* only cycles, instructions and stores are kept here: [stats] sums
-       the load fields from [sites] and reads the cache and BTB fields
-       from the structures that count them *) }
+  (* the only {!stats} fields kept here: [stats] sums the load fields
+     from [sites] and reads the cache and BTB fields from the
+     structures that count them *)
+  ; mutable n_cycles : int  (* the latest writeback *)
+  ; mutable n_instructions : int
+  ; mutable n_stores : int }
+
+let table_entries (cfg : Config.t) =
+  match cfg.mechanism with
+  | Config.Table_only { entries; _ } -> Some entries
+  | Config.Dual { table_entries; _ } -> Some table_entries
+  | Config.No_early | Config.Calc_only _ -> None
+
+(* R_addr (paper §3.2.1) is a one-entry base-register cache *)
+let bric_entries (cfg : Config.t) =
+  match cfg.mechanism with
+  | Config.Calc_only { bric_entries } -> Some bric_entries
+  | Config.Dual _ -> Some 1
+  | Config.No_early | Config.Table_only _ -> None
+
+(* A store issues only with a free port the next cycle, so at most
+   [mem_ports] stores share an issue cycle, and the window (see
+   [process]) spans three issue cycles. *)
+let store_window (cfg : Config.t) =
+  let rec pow2 k = if k >= 3 * cfg.mem_ports then k else pow2 (2 * k) in
+  pow2 1
+
+let cache (cfg : Config.t) size_bytes =
+  Cache.create ~ways:cfg.cache_ways ~size_bytes ~line_bytes:cfg.line_bytes ()
+
+(* Re-arm [t] for [cfg].  Every structure [cfg] gives the same size is
+   reset in place and every other one allocated; the per-PC decode is
+   kept, its sites zeroed.  This is the one place the initial state is
+   written: [create] allocates and then resets. *)
+let reset t (cfg : Config.t) =
+  let old = t.cfg in
+  t.cfg <- cfg;
+  let same_lines = old.cache_ways = cfg.cache_ways && old.line_bytes = cfg.line_bytes in
+  if same_lines && old.icache_bytes = cfg.icache_bytes then Cache.reset t.icache
+  else t.icache <- cache cfg cfg.icache_bytes;
+  if same_lines && old.dcache_bytes = cfg.dcache_bytes then Cache.reset t.dcache
+  else t.dcache <- cache cfg cfg.dcache_bytes;
+  if Btb.size t.btb = cfg.btb_entries then Btb.reset t.btb
+  else t.btb <- Btb.create cfg.btb_entries;
+  (t.table <-
+     match (t.table, table_entries cfg) with
+     | Some table, Some n when Addr_table.size table = n ->
+       Addr_table.reset table;
+       t.table
+     | _, n -> Option.map Addr_table.create n);
+  (t.bric <-
+     match (t.bric, bric_entries cfg) with
+     | Some bric, Some n when Bric.capacity bric = n ->
+       Bric.reset bric;
+       t.bric
+     | _, n -> Option.map Bric.create n);
+  Array.fill t.reg_ready 0 Reg.count 0;
+  Array.fill t.reg_cause 0 Reg.count Stall.Raw_dependence;
+  Array.fill t.port_cycle 0 ring_size (-1);
+  Array.fill t.port_count 0 ring_size 0;
+  t.cur_cycle <- 4 (* leave room for stage offsets at startup *);
+  t.slots_used <- 0;
+  t.alus_used <- 0;
+  t.branches_used <- 0;
+  t.fetch_ready <- 4;
+  t.fetch_cause <- Stall.Icache_miss (* startup fill = frontend *);
+  Array.iter (fun site -> if site != no_site then clear_site site) t.sites;
+  let window = store_window cfg in
+  if Array.length t.st_cycle = window then begin
+    Array.fill t.st_cycle 0 window 0;
+    Array.fill t.st_addr 0 window 0;
+    Array.fill t.st_bytes 0 window 0
+  end
+  else begin
+    t.st_cycle <- Array.make window 0;
+    t.st_addr <- Array.make window 0;
+    t.st_bytes <- Array.make window 0
+  end;
+  t.st_head <- 0;
+  t.st_len <- 0;
+  t.sel_path <- No_path;
+  t.ev_dispatched <- false;
+  t.ev_access_cycle <- 0;
+  t.ev_addr <- 0;
+  t.ev_success <- false;
+  t.ev_latency <- 0;
+  t.tracer <- None;
+  t.last_issue <- -1;
+  t.busy_cycles <- 0;
+  Array.fill t.stall_cycles 0 Stall.cardinal 0;
+  t.drain_cause <- Stall.Raw_dependence;
+  t.n_cycles <- 0;
+  t.n_instructions <- 0;
+  t.n_stores <- 0
 
 let create (cfg : Config.t) =
-  let table =
-    match cfg.mechanism with
-    | Config.Table_only { entries; _ } -> Some (Addr_table.create entries)
-    | Config.Dual { table_entries; _ } -> Some (Addr_table.create table_entries)
-    | _ -> None
+  let window = store_window cfg in
+  let t =
+    { cfg
+    ; icache = cache cfg cfg.icache_bytes
+    ; dcache = cache cfg cfg.dcache_bytes
+    ; btb = Btb.create cfg.btb_entries
+    ; table = Option.map Addr_table.create (table_entries cfg)
+    ; bric = Option.map Bric.create (bric_entries cfg)
+    ; reg_ready = Array.make Reg.count 0
+    ; reg_cause = Array.make Reg.count Stall.Raw_dependence
+    ; port_cycle = Array.make ring_size 0
+    ; port_count = Array.make ring_size 0
+    ; cur_cycle = 0
+    ; slots_used = 0
+    ; alus_used = 0
+    ; branches_used = 0
+    ; fetch_ready = 0
+    ; fetch_cause = Stall.Icache_miss
+    ; decoded = [||]
+    ; sites = [||]
+    ; st_cycle = Array.make window 0
+    ; st_addr = Array.make window 0
+    ; st_bytes = Array.make window 0
+    ; st_head = 0
+    ; st_len = 0
+    ; sel_path = No_path
+    ; ev_dispatched = false
+    ; ev_access_cycle = 0
+    ; ev_addr = 0
+    ; ev_success = false
+    ; ev_latency = 0
+    ; tracer = None
+    ; last_issue = 0
+    ; busy_cycles = 0
+    ; stall_cycles = Array.make Stall.cardinal 0
+    ; drain_cause = Stall.Raw_dependence
+    ; n_cycles = 0
+    ; n_instructions = 0
+    ; n_stores = 0 }
   in
-  (* R_addr (paper §3.2.1) is a one-entry base-register cache *)
-  let bric =
-    match cfg.mechanism with
-    | Config.Calc_only { bric_entries } -> Some (Bric.create bric_entries)
-    | Config.Dual _ -> Some (Bric.create 1)
-    | _ -> None
-  in
-  (* A store issues only with a free port the next cycle, so at most
-     [mem_ports] stores share an issue cycle, and the window (see
-     [process]) spans three issue cycles. *)
-  let rec pow2 k = if k >= 3 * cfg.mem_ports then k else pow2 (2 * k) in
-  let store_window = pow2 1 in
-  { cfg
-  ; icache =
-      Cache.create ~ways:cfg.cache_ways ~size_bytes:cfg.icache_bytes
-        ~line_bytes:cfg.line_bytes ()
-  ; dcache =
-      Cache.create ~ways:cfg.cache_ways ~size_bytes:cfg.dcache_bytes
-        ~line_bytes:cfg.line_bytes ()
-  ; btb = Btb.create cfg.btb_entries
-  ; table
-  ; bric
-  ; reg_ready = Array.make Reg.count 0
-  ; reg_cause = Array.make Reg.count Stall.Raw_dependence
-  ; port_cycle = Array.make ring_size (-1)
-  ; port_count = Array.make ring_size 0
-  ; cur_cycle = 4  (* leave room for stage offsets at startup *)
-  ; slots_used = 0
-  ; alus_used = 0
-  ; branches_used = 0
-  ; fetch_ready = 4
-  ; fetch_cause = Stall.Icache_miss  (* startup fill = frontend *)
-  ; decoded = [||]
-  ; sites = [||]
-  ; st_cycle = Array.make store_window 0
-  ; st_addr = Array.make store_window 0
-  ; st_bytes = Array.make store_window 0
-  ; st_head = 0
-  ; st_len = 0
-  ; sel_path = No_path
-  ; ev_dispatched = false
-  ; ev_access_cycle = 0
-  ; ev_addr = 0
-  ; ev_success = false
-  ; ev_latency = 0
-  ; tracer = None
-  ; last_issue = -1
-  ; busy_cycles = 0
-  ; stall_cycles = Array.make Stall.cardinal 0
-  ; drain_cause = Stall.Raw_dependence
-  ; stats = fresh_stats () }
+  reset t cfg;
+  t
 
 (* Integer-specialized [max]/[min]: the polymorphic ones go through the
    generic comparison. *)
 let imax (a : int) b = if a >= b then a else b
 let imin (a : int) b = if a <= b then a else b
 
-let decode (cfg : Config.t) site insn =
+let decode site insn =
   let bytes, base =
     match insn with
     | Insn.Load { size; addr; _ } | Insn.Store { size; addr; _ } ->
@@ -267,9 +353,9 @@ let decode (cfg : Config.t) site insn =
   ; base
   ; latency =
       (match insn with
-      | Insn.Alu { op = Insn.Mul; _ } -> cfg.mul_latency
-      | Insn.Alu { op = Insn.Div | Insn.Rem; _ } -> cfg.div_latency
-      | _ -> 1)
+      | Insn.Alu { op = Insn.Mul; _ } -> Multiply
+      | Insn.Alu { op = Insn.Div | Insn.Rem; _ } -> Divide
+      | _ -> Single_cycle)
   ; control =
       (match insn with
       | Insn.Branch _ | Insn.Jr _ | Insn.Jalr _ -> Predicted
@@ -282,20 +368,18 @@ let grow arr n fill =
   Array.blit arr 0 a 0 (Array.length arr);
   a
 
-(* Decode [insn] at [pc] and cache it; a load gets its PC's site. *)
+(* Decode [insn] at [pc] and cache it.  A load gets a new site: one
+   left at [pc] by another instruction counted that one. *)
 let decode_at t pc insn =
   if pc >= Array.length t.decoded then begin
     t.decoded <- grow t.decoded (pc + 1) undecoded;
     t.sites <- grow t.sites (pc + 1) no_site
   end;
   let site =
-    match insn with
-    | Insn.Load { spec; _ } ->
-      if t.sites.(pc) == no_site then t.sites.(pc) <- new_site pc spec;
-      t.sites.(pc)
-    | _ -> no_site
+    match insn with Insn.Load { spec; _ } -> new_site pc spec | _ -> no_site
   in
-  let d = decode t.cfg site insn in
+  t.sites.(pc) <- site;
+  let d = decode site insn in
   t.decoded.(pc) <- d;
   d
 
@@ -480,9 +564,8 @@ let select_path t c (d : decoded) =
 (* Allocation-free: no closures, no tuples, no options; all per-load
    state lives in [t]'s mutable fields and the predecoded record. *)
 let process t pc insn eff taken next_pc =
-  let s = t.stats in
   let d = lookup_decoded t pc insn in
-  s.instructions <- s.instructions + 1;
+  t.n_instructions <- t.n_instructions + 1;
   (* instruction fetch *)
   if not (Cache.access t.icache (pc lsl 2)) then
     bump_fetch t (imax t.fetch_ready t.cur_cycle + t.cfg.miss_penalty)
@@ -541,7 +624,13 @@ let process t pc insn eff taken next_pc =
   t.slots_used <- t.slots_used + 1;
   if alu then t.alus_used <- t.alus_used + 1;
   if branch then t.branches_used <- t.branches_used + 1;
-  let latency = ref d.latency in
+  let latency =
+    ref
+      (match d.latency with
+      | Single_cycle -> 1
+      | Multiply -> t.cfg.mul_latency
+      | Divide -> t.cfg.div_latency)
+  in
   let def_cause = ref Stall.Raw_dependence in
   (* loads *)
   if d.is_load then begin
@@ -605,7 +694,7 @@ let process t pc insn eff taken next_pc =
   end;
   (* stores *)
   if d.is_store then begin
-    s.stores <- s.stores + 1;
+    t.n_stores <- t.n_stores + 1;
     book_port t (c + 1);
     ignore (Cache.access_store t.dcache eff);
     (* Bound the window to stores issued at [c - 2] or later.  Issue
@@ -638,8 +727,8 @@ let process t pc insn eff taken next_pc =
   (match t.tracer with Some f -> f pc insn c !latency | None -> ());
   (* an issued instruction occupies its issue cycle even at latency 0 *)
   let finish = imax (c + !latency) (c + 1) in
-  if finish > s.cycles then begin
-    s.cycles <- finish;
+  if finish > t.n_cycles then begin
+    t.n_cycles <- finish;
     t.drain_cause <- !def_cause
   end
 
@@ -669,7 +758,7 @@ let stall_breakdown t =
   let arr = Array.copy t.stall_cycles in
   (* charge the final drain (cycles after the last issue, waiting for
      the latest writeback) to whatever finishes last *)
-  let drain = t.stats.cycles - (t.last_issue + 1) in
+  let drain = t.n_cycles - (t.last_issue + 1) in
   if drain > 0 then begin
     let i = Stall.index t.drain_cause in
     arr.(i) <- arr.(i) + drain
@@ -679,17 +768,33 @@ let stall_breakdown t =
 let stall_total t =
   List.fold_left (fun acc (_, n) -> acc + n) 0 (stall_breakdown t)
 
+(* A site zeroed by [reset] and not run since belongs to an earlier
+   run: every execution observes its latency. *)
 let load_sites t =
   Array.fold_right
-    (fun site acc -> if site == no_site then acc else site :: acc)
+    (fun site acc ->
+      if site == no_site || Histogram.count site.site_latency = 0 then acc
+      else site :: acc)
     t.sites []
 
 let stats t =
   let _, icache_misses = Cache.stats t.icache in
   let dcache_accesses, dcache_misses = Cache.stats t.dcache in
   let s =
-    { t.stats with
-      icache_misses
+    { cycles = t.n_cycles
+    ; instructions = t.n_instructions
+    ; loads = 0
+    ; stores = t.n_stores
+    ; loads_n = 0
+    ; loads_p = 0
+    ; loads_e = 0
+    ; table_attempts = 0
+    ; table_successes = 0
+    ; calc_attempts = 0
+    ; calc_successes = 0
+    ; wasted_spec = 0
+    ; load_latency_sum = 0
+    ; icache_misses
     ; dcache_accesses
     ; dcache_misses
     ; btb_mispredicts = Btb.misprediction_count t.btb }

@@ -56,6 +56,18 @@ type load_site =
 type t
 
 val create : Config.t -> t
+(** Allocate a pipeline for the config, then {!reset} it. *)
+
+val reset : t -> Config.t -> unit
+(** [reset t cfg] re-arms [t] for [cfg], whatever [t] ran before, a
+    run that raised included: a run after it leaves {!stats},
+    {!stall_breakdown}, {!busy_cycles}, {!load_sites}, {!table_stats}
+    and {!bric_stats} equal to what [create cfg] and the same run
+    leave.  It refills in place every structure whose size [cfg]
+    keeps and allocates only those whose size it changes.  The per-PC
+    decode survives, since it depends on the instruction alone; a PC
+    that retires a physically different instruction is decoded
+    afresh and given a new load site.  The tracer is removed. *)
 
 val process : t -> int -> Elag_isa.Insn.t -> int -> bool -> int -> unit
 (** Feed one retired instruction (same signature as
@@ -112,8 +124,9 @@ val stall_breakdown : t -> (Elag_telemetry.Stall.t * int) list
 val stall_total : t -> int
 
 val load_sites : t -> load_site list
-(** Every load PC observed this run, ascending.  These records are the
-    only place the per-load counters are kept. *)
+(** Every load PC observed since {!create} or the last {!reset},
+    ascending.  These records are the only place the per-load counters
+    are kept. *)
 
 val load_latency_histogram : t -> Elag_telemetry.Histogram.t
 (** Aggregate effective-latency distribution over all loads: a fresh

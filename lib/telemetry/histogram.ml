@@ -9,6 +9,12 @@ type t =
   ; mutable sum : int
   ; mutable max_seen : int }
 
+let reset t =
+  Array.fill t.counts 0 (Array.length t.counts) 0;
+  t.total <- 0;
+  t.sum <- 0;
+  t.max_seen <- min_int
+
 let create ~bounds =
   let n = Array.length bounds in
   if n = 0 then invalid_arg "Histogram.create: empty bounds";
@@ -16,11 +22,15 @@ let create ~bounds =
     if bounds.(i) <= bounds.(i - 1) then
       invalid_arg "Histogram.create: bounds must be strictly increasing"
   done;
-  { bounds = Array.copy bounds
-  ; counts = Array.make (n + 1) 0
-  ; total = 0
-  ; sum = 0
-  ; max_seen = min_int }
+  let t =
+    { bounds = Array.copy bounds
+    ; counts = Array.make (n + 1) 0
+    ; total = 0
+    ; sum = 0
+    ; max_seen = 0 }
+  in
+  reset t;
+  t
 
 let load_latency_bounds = [| 0; 1; 2; 3; 4; 8; 16; 32; 64 |]
 

@@ -12,6 +12,10 @@ val create : bounds:int array -> t
 (** [bounds] must be strictly increasing and non-empty; raises
     [Invalid_argument] otherwise.  The array is copied. *)
 
+val reset : t -> unit
+(** Forget every observation, keeping the bounds: [t] is then as
+    {!create} left it. *)
+
 val load_latency_bounds : int array
 (** The standard bucket layout for load latencies: 0 (successful
     [ld_e]), 1 (successful [ld_p]), 2, 3, 4, 8, 16, 32, 64 cycles. *)

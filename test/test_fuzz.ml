@@ -250,6 +250,21 @@ let golden_summaries () =
 let test_golden_summaries () =
   Golden.check ~file:"golden_fuzz_summaries.json" (golden_summaries ())
 
+(* --- allocation --------------------------------------------------------------- *)
+
+(* The timed presets of an iteration share one pipeline and one
+   emulator, so an iteration allocates in the major heap about what its
+   oracle run, fault pair and MiniC compile need, not 11 more pipelines
+   and emulators: about 46 K words per iteration, against about 195 K
+   when every preset built its own. *)
+let test_campaign_major_words () =
+  let iters = 25 in
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  ignore (Campaign.run ~jobs:1 { Campaign.default with seed = 1; iters });
+  let per_iter = ((Gc.quick_stat ()).Gc.major_words -. before) /. float_of_int iters in
+  if per_iter > 100_000. then
+    Alcotest.failf "%.0f major-heap words per iteration (at most 100000)" per_iter
+
 (* --- committed corpus replays ---------------------------------------------- *)
 
 let test_committed_corpus_replays () =
@@ -283,5 +298,7 @@ let suite =
   ; Alcotest.test_case "oracle: verdict independent of preset" `Quick
       test_verdict_preset_independent
   ; Alcotest.test_case "campaign: golden summaries" `Quick test_golden_summaries
+  ; Alcotest.test_case "campaign: major-heap words per iteration" `Quick
+      test_campaign_major_words
   ; Alcotest.test_case "corpus: committed entries replay" `Quick
       test_committed_corpus_replays ]

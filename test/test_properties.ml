@@ -146,33 +146,47 @@ let paged_memory_matches_flat =
     Printf.sprintf "%s%d%s @%d %d" (if write then "w" else "r") width
       (if signed then "s" else "u") a v
   in
+  (* two lives: after the first sequence, [reset] must leave a memory
+     that matches a fresh flat reference through the second sequence
+     and, byte for byte, at its end, so nothing the first life wrote
+     leaks into the second *)
+  let ops = QCheck.Gen.(list_size (int_range 1 60) op) in
   QCheck.Test.make ~name:"memory: paged matches flat reference" ~count:300
-    (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (int_range 1 60) op))
-    (fun ops ->
-      let m = Memory.create ~size () and flat = Bytes.make size '\000' in
+    (QCheck.make ~print:QCheck.Print.(pair (list print) (list print)) QCheck.Gen.(pair ops ops))
+    (fun (first, second) ->
+      let m = Memory.create ~size () in
       let outcome f = try Ok (f ()) with Memory.Fault a -> Error a in
-      List.for_all
-        (fun (write, width, signed, (a, v)) ->
-          if write then
-            let paged () =
-              match width with
-              | 1 -> Memory.write_byte m a v
-              | 2 -> Memory.write_half m a v
-              | _ -> Memory.write_word m a v
-            in
-            outcome paged = outcome (fun () -> Flat.write flat width a v)
-          else
-            let paged () =
-              match (width, signed) with
-              | 1, false -> Memory.read_byte_u m a
-              | 1, true -> Memory.read_byte_s m a
-              | 2, false -> Memory.read_half_u m a
-              | 2, true -> Memory.read_half_s m a
-              | _ -> Memory.read_word m a
-            in
-            (* words are signed 32-bit whatever [signed] says *)
-            outcome paged = outcome (fun () -> Flat.read flat width (signed || width = 4) a))
-        ops)
+      let step flat (write, width, signed, (a, v)) =
+        if write then
+          let paged () =
+            match width with
+            | 1 -> Memory.write_byte m a v
+            | 2 -> Memory.write_half m a v
+            | _ -> Memory.write_word m a v
+          in
+          outcome paged = outcome (fun () -> Flat.write flat width a v)
+        else
+          let paged () =
+            match (width, signed) with
+            | 1, false -> Memory.read_byte_u m a
+            | 1, true -> Memory.read_byte_s m a
+            | 2, false -> Memory.read_half_u m a
+            | 2, true -> Memory.read_half_s m a
+            | _ -> Memory.read_word m a
+          in
+          (* words are signed 32-bit whatever [signed] says *)
+          outcome paged = outcome (fun () -> Flat.read flat width (signed || width = 4) a)
+      in
+      let life ops =
+        let flat = Bytes.make size '\000' in
+        let rec same a =
+          a = size || (Memory.read_byte_u m a = Char.code (Bytes.get flat a) && same (a + 1))
+        in
+        List.for_all (step flat) ops && same 0
+      in
+      let first_ok = life first in
+      Memory.reset m;
+      first_ok && life second)
 
 let alu_compare_consistency =
   QCheck.Test.make ~name:"alu: set-compare ops agree with eval_cond" ~count:500

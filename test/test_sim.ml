@@ -445,6 +445,76 @@ let test_retire_path_allocation_free () =
           per_retire)
     Config.Mechanism.all
 
+(* [reset] re-arms a pipeline and an emulator into the state [create]
+   leaves: one pipeline runs every program below, and one emulator per
+   program runs the 12 presets in a seeded shuffled order, so the
+   table and BRIC sizes change between runs and the pipeline outlives
+   each program.  The two workloads stop at a [Runaway] mid-run before
+   every reset.  Each run must match a fresh pipeline and emulator on
+   every statistic, every load site with its histogram, the output and
+   the retire count. *)
+let test_reset_equals_create () =
+  let runaways = ref 0 in
+  let run pipe emu max_insns =
+    match Emulator.run ~observer:(Pipeline.observer pipe) ?max_insns emu with
+    | () -> None
+    | exception Emulator.Runaway n ->
+      incr runaways;
+      Some n
+  in
+  let observe pipe emu outcome =
+    ( ( Pipeline.stats pipe
+      , Pipeline.stall_breakdown pipe
+      , Pipeline.busy_cycles pipe
+      , Pipeline.table_stats pipe
+      , Pipeline.bric_stats pipe )
+    , Pipeline.load_sites pipe
+    , (Emulator.output emu, Emulator.retired emu, outcome) )
+  in
+  let compile name =
+    let w = Elag_workloads.Suite.find name in
+    (name, Elag_harness.Compile.compile w.Elag_workloads.Workload.source, Some 200_000)
+  in
+  let programs =
+    List.init 40 (fun i ->
+        let g = Elag_fuzz.Gen.program (i + 1) in
+        (Printf.sprintf "gen %d" (i + 1), g.Elag_fuzz.Gen.program, Some g.Elag_fuzz.Gen.budget))
+    @ [ compile "072.sc"; compile "PGP Encode" ]
+  in
+  let rng = Random.State.make [| 23 |] in
+  let shuffled () =
+    let a = Array.of_list Config.Mechanism.all in
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let x = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- x
+    done;
+    a
+  in
+  let pipe = Pipeline.create Config.default in
+  List.iter
+    (fun (name, program, max_insns) ->
+      let emu = Emulator.create program in
+      Array.iteri
+        (fun k mech ->
+          let cfg = Config.with_mechanism mech Config.default in
+          if k > 0 then Emulator.reset emu;
+          Pipeline.reset pipe cfg;
+          let reused = observe pipe emu (run pipe emu max_insns) in
+          let fresh =
+            let pipe = Pipeline.create cfg and emu = Emulator.create program in
+            observe pipe emu (run pipe emu max_insns)
+          in
+          let label what = Printf.sprintf "%s, %s: %s" name (Config.Mechanism.to_string mech) what in
+          let (counters, sites, result) = reused and (counters', sites', result') = fresh in
+          check_bool (label "statistics") true (counters = counters');
+          check_bool (label "load sites") true (sites = sites');
+          check_bool (label "output and retires") true (result = result'))
+        (shuffled ()))
+    programs;
+  check_bool "runs stopped mid-run" true (!runaways > 0)
+
 (* --- mechanism naming round-trip ----------------------------------------- *)
 
 let test_mechanism_roundtrip () =
@@ -504,6 +574,7 @@ let suite_head =
   ; Alcotest.test_case "pipeline: ld_e trace latencies" `Quick test_ld_e_trace_latencies
   ; Alcotest.test_case "pipeline: config ordering" `Quick test_speedup_ordering_on_workload
   ; Alcotest.test_case "pipeline: allocation-free retire path" `Quick
-      test_retire_path_allocation_free ]
+      test_retire_path_allocation_free
+  ; Alcotest.test_case "pipeline: reset equals create" `Quick test_reset_equals_create ]
 
 let suite = suite_head
