@@ -130,7 +130,7 @@ let time_all ~jobs mech =
 let trace_lane insn =
   if Insn.is_load insn then (1, "loads")
   else if Insn.is_store insn then (2, "stores")
-  else if Insn.is_control insn then (3, "control")
+  else if Insn.is_branch insn then (3, "control")
   else (0, "alu")
 
 let install_trace t =

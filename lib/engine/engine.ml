@@ -83,28 +83,23 @@ type distribution =
   ; rate_pd : float option
   ; total_dynamic_loads : int }
 
-let spec_of_insn = function
-  | Insn.Load { spec; _ } -> Some spec
-  | _ -> None
-
+(* The variant's loads by specifier, on the dense load index: a
+   reclassified program keeps every load at its pc, so its load numbers
+   are the profiled program's. *)
 let distribution ?(variant = Classified) t w =
   let prof = profile t w in
   let prog = program_of t w variant in
-  let loads = Program.static_loads prog in
-  let pcs_of spec =
-    List.filter_map
-      (fun (pc, insn) -> if spec_of_insn insn = Some spec then Some pc else None)
-      loads
-  in
-  let nt = pcs_of Insn.Ld_n and pd = pcs_of Insn.Ld_p and ec = pcs_of Insn.Ld_e in
+  let loads = List.init (Program.load_count prog) Fun.id in
+  let of_spec spec = List.filter (fun k -> Program.load_spec prog k = spec) loads in
+  let nt = of_spec Insn.Ld_n and pd = of_spec Insn.Ld_p and ec = of_spec Insn.Ld_e in
   let st_total = List.length loads in
-  let dyn count_pcs =
-    List.fold_left (fun acc pc -> acc + Profile.executions prof pc) 0 count_pcs
+  let dyn ks =
+    List.fold_left (fun acc k -> acc + Elag_predict.Ideal.executions prof.Profile.rates k) 0 ks
   in
   let dyn_nt = dyn nt and dyn_pd = dyn pd and dyn_ec = dyn ec in
   let dyn_total = max 1 (dyn_nt + dyn_pd + dyn_ec) in
   let pct a b = 100. *. float_of_int a /. float_of_int (max 1 b) in
-  let rate pcs = Elag_predict.Ideal.aggregate_rate prof.Profile.rates pcs in
+  let rate ks = Elag_predict.Ideal.aggregate_rate prof.Profile.rates ks in
   { static_nt = pct (List.length nt) st_total
   ; static_pd = pct (List.length pd) st_total
   ; static_ec = pct (List.length ec) st_total

@@ -55,7 +55,7 @@ let table2_rows engine =
     (fun w ->
       let prof = Engine.profile engine w in
       { name = w.Workload.name
-      ; loads_m = float_of_int prof.Elag_harness.Profile.total_loads /. 1_000_000.
+      ; loads_m = float_of_int (Elag_harness.Profile.total_loads prof) /. 1_000_000.
       ; dist = Engine.distribution engine w })
     Suite.spec
 
@@ -244,7 +244,7 @@ let table4_rows engine =
     (fun w ->
       let prof = Engine.profile engine w in
       { t4_name = w.Workload.name
-      ; t4_loads_m = float_of_int prof.Elag_harness.Profile.total_loads /. 1_000_000.
+      ; t4_loads_m = float_of_int (Elag_harness.Profile.total_loads prof) /. 1_000_000.
       ; t4_dist = Engine.distribution engine w
       ; t4_speedup = Engine.speedup engine w dual_cc })
     Suite.media

@@ -125,9 +125,8 @@ let shrink_epa ~cfg ~mutation ~signature (g : Gen.t) =
       match Lint.check program with
       | report when not (Lint.ok report) -> false
       | _ -> (
-        let reference = Option.map (fun m -> Gen.apply_mutation m program) mutation in
-        match Oracle.run ~max_insns:g.Gen.budget ?reference cfg program with
-        | report -> Oracle.signature report = Some signature
+        match Gen.verdict ?mutation ~budget:g.Gen.budget cfg program with
+        | _, s -> s = Some signature
         | exception _ -> false))
   in
   let items = Shrink.minimize ~check g.Gen.items in
@@ -174,15 +173,7 @@ let run_iteration config (iter, seed) =
   in
   (* generate (compile) — a crash here is a finding, with the seed
      preserved, not a dead worker *)
-  match
-    match source with
-    | "epa" ->
-      let g = Gen.program ~params:config.gen_params seed in
-      (Some g, g.Gen.program, g.Gen.budget)
-    | _ ->
-      let program = Elag_harness.Compile.compile (Gen.minic seed) in
-      (None, program, Gen.minic_budget)
-  with
+  match Gen.iteration ~params:config.gen_params ~source seed with
   | exception e ->
     crash ~what:"generation" "-" e;
     finish ()
@@ -229,34 +220,19 @@ let run_iteration config (iter, seed) =
             if k > 0 then
               match time cfg with exception e -> crash mech_name e | () -> ()
             else
-              match
-                Oracle.run ~max_insns:budget
-                  ?reference:
-                    (Option.map
-                       (fun m -> Gen.apply_mutation m program)
-                       config.mutation)
-                  cfg program
-              with
+              match Gen.verdict ?mutation:config.mutation ~budget cfg program with
               | exception e -> crash mech_name e
-              | report -> (
-                match Oracle.signature report with
-                | None -> ()
-                | Some signature ->
-                  stop := true;
-                  let listing, insns, shrunk =
-                    match g with
-                    | Some g -> (
-                      match
-                        shrink_epa ~cfg ~mutation:config.mutation ~signature g
-                      with
-                      | l, n -> (l, n, true)
-                      | exception _ ->
-                        (listing (), Elag_isa.Program.length program, false))
-                    | None -> (listing (), Elag_isa.Program.length program, false)
-                  in
-                  add
-                    (mk ~mechanism:mech_name ~kind:Divergence ~detail:signature
-                       ~report:(Oracle.to_json report) ~listing ~insns ~shrunk))
+              | _, None -> ()
+              | report, Some signature ->
+                stop := true;
+                let listing, insns, shrunk =
+                  match Option.map (shrink_epa ~cfg ~mutation:config.mutation ~signature) g with
+                  | Some (l, n) -> (l, n, true)
+                  | None | exception _ -> (listing (), Elag_isa.Program.length program, false)
+                in
+                add
+                  (mk ~mechanism:mech_name ~kind:Divergence ~detail:signature
+                     ~report:(Oracle.to_json report) ~listing ~insns ~shrunk)
           end)
         config.mechanisms;
       (* fault layer: seeded plan on clean EPA programs *)

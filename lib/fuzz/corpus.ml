@@ -19,7 +19,6 @@
    until then its replay failure is the open-bug marker. *)
 
 module Json = Elag_telemetry.Json
-module Oracle = Elag_verify.Oracle
 module Config = Elag_sim.Config
 
 let schema_version = 1
@@ -164,22 +163,15 @@ let locate ?(from = Sys.getcwd ()) () =
 
 let replay e =
   let ( let* ) = Result.bind in
+  let* params =
+    if e.source = "epa" then Gen.params_of_json e.gen_params else Ok Gen.default_params
+  in
   let* program, budget =
-    match e.source with
-    | "epa" ->
-      let* params =
-        match Gen.params_of_json e.gen_params with
-        | Ok p -> Ok p
-        | Error msg -> Error msg
-      in
-      let g = Gen.program ~params e.seed in
-      Ok (g.Gen.program, g.Gen.budget)
-    | "minic" -> (
-      match Elag_harness.Compile.compile (Gen.minic e.seed) with
-      | p -> Ok (p, Gen.minic_budget)
-      | exception Elag_harness.Compile.Error msg ->
-        Error (Printf.sprintf "compile failed: %s" msg))
-    | other -> Error (Printf.sprintf "unknown source kind %S" other)
+    match Gen.iteration ~params ~source:e.source e.seed with
+    | _, program, budget -> Ok (program, budget)
+    | exception Elag_harness.Compile.Error msg ->
+      Error (Printf.sprintf "compile failed: %s" msg)
+    | exception Invalid_argument msg -> Error msg
   in
   let* mechanism =
     match Config.Mechanism.of_string e.mechanism with
@@ -187,10 +179,8 @@ let replay e =
     | None -> Error (Printf.sprintf "unknown mechanism %S" e.mechanism)
   in
   let cfg = Config.with_mechanism mechanism Config.default in
-  let reference = Option.map (fun m -> Gen.apply_mutation m program) e.mutation in
-  match Oracle.run ~max_insns:budget ?reference cfg program with
-  | report -> (
-    let sig_ = Oracle.signature report in
+  match Gen.verdict ?mutation:e.mutation ~budget cfg program with
+  | _, sig_ -> (
     match (e.mutation, sig_) with
     | Some m, Some s ->
       Ok (Printf.sprintf "mutation %S still caught (%s)" m s)

@@ -414,6 +414,19 @@ let apply_mutation name program =
 
 (* --- params (de)serialization ------------------------------------------ *)
 
+let iteration ~params ~source seed =
+  match source with
+  | "epa" ->
+    let g = program ~params seed in
+    (Some g, g.program, g.budget)
+  | "minic" -> (None, Elag_harness.Compile.compile (minic seed), minic_budget)
+  | other -> invalid_arg (Printf.sprintf "unknown source kind %S" other)
+
+let verdict ?mutation ~budget cfg program =
+  let reference = Option.map (fun m -> apply_mutation m program) mutation in
+  let report = Elag_verify.Oracle.run ~max_insns:budget ?reference cfg program in
+  (report, Elag_verify.Oracle.signature report)
+
 let params_to_json p =
   Json.Obj
     [ ("segments", Json.Int p.segments)

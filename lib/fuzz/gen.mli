@@ -81,6 +81,21 @@ val apply_mutation : string -> Elag_isa.Program.t -> Elag_isa.Program.t
     when no instruction matches); raises [Invalid_argument] on unknown
     names. *)
 
+(** {2 Campaign iterations} — shared with corpus replay *)
+
+val iteration :
+  params:params -> source:string -> int -> t option * Elag_isa.Program.t * int
+(** The program an iteration of source ["epa"] ({!program}, also
+    returned) or ["minic"] ({!minic} compiled; [params] unused) checks,
+    and its retire budget.  Raises {!Elag_harness.Compile.Error} or,
+    on another source, [Invalid_argument]. *)
+
+val verdict :
+  ?mutation:string -> budget:int -> Elag_sim.Config.t -> Elag_isa.Program.t ->
+  Elag_verify.Oracle.report * string option
+(** The oracle's report against the reference the mutation plants (the
+    program itself when none), and its failure signature. *)
+
 (** {2 Params (de)serialization} — corpus metadata *)
 
 val params_to_json : params -> Elag_telemetry.Json.t

@@ -1,6 +1,6 @@
 (* Address profiling (paper §4.3).
 
-   An emulation pass drives the unbounded per-PC stride predictor over
+   An emulation pass drives the unbounded per-load stride predictor over
    every dynamic load, yielding per-load prediction rates and execution
    counts.  Reclassification then upgrades [ld_n] loads whose rate
    exceeds the threshold (60% in the paper) to [ld_p] — and changes
@@ -11,22 +11,27 @@ module Program = Elag_isa.Program
 module Ideal = Elag_predict.Ideal
 module Emulator = Elag_sim.Emulator
 
-type t = { rates : Ideal.t; mutable total_loads : int }
+type t = { program : Program.t; rates : Ideal.t }
 
 let collect ?max_insns program =
-  let t = { rates = Ideal.create (); total_loads = 0 } in
-  let observer pc insn eff _taken _next =
-    if Insn.is_load insn then begin
-      t.total_loads <- t.total_loads + 1;
-      Ideal.observe t.rates ~pc ~ca:eff
-    end
+  let rates = Ideal.create (Program.load_count program) in
+  let observer p pc eff _taken _next =
+    let load = Program.load_index p pc in
+    if load >= 0 then Ideal.observe rates ~load ~ca:eff
   in
   ignore (Emulator.run_program ~observer ?max_insns program);
-  t
+  { program; rates }
 
-let rate t pc = Ideal.rate t.rates pc
+let total_loads t =
+  List.fold_left (fun n k -> n + Ideal.executions t.rates k) 0
+    (List.init (Program.load_count t.program) Fun.id)
 
-let executions t pc = Ideal.executions t.rates pc
+let by_pc f default t pc =
+  let load = Program.load_index t.program pc in
+  if load < 0 then default else f t.rates load
+
+let rate = by_pc Ideal.rate None
+let executions = by_pc Ideal.executions 0
 
 let default_threshold = 0.60
 

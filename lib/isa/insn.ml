@@ -90,10 +90,6 @@ let is_branch = function
   | Branch _ | Jump _ | Jal _ | Jalr _ | Jr _ -> true
   | _ -> false
 
-(* A control transfer whose target or outcome is not known until the
-   instruction executes (used by the BTB model). *)
-let is_control = is_branch
-
 let load_spec = function Load { spec; _ } -> Some spec | _ -> None
 
 let with_load_spec spec = function

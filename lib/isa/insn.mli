@@ -52,9 +52,6 @@ type t =
 
 val size_bytes : mem_size -> int
 
-val addr_mode_registers : addr_mode -> Reg.t list
-(** Registers read to form the effective address. *)
-
 val uses : t -> Reg.t list
 (** Source registers read by the instruction (zero register excluded). *)
 
@@ -64,7 +61,6 @@ val defs : t -> Reg.t list
 val is_load : t -> bool
 val is_store : t -> bool
 val is_branch : t -> bool
-val is_control : t -> bool
 
 val load_spec : t -> load_spec option
 (** [Some spec] for loads, [None] otherwise. *)

@@ -1,62 +1,42 @@
-(* Unbounded per-PC stride predictor used for the prediction-rate
+(* Unbounded per-load stride predictor used for the prediction-rate
    methodology of Table 2: "a simulation methodology that performs
    individual operation prediction ... not affected by the limitations
    of a prediction cache".
 
-   Every static load gets its own Figure 3 state machine; the
-   prediction rate of a load is the fraction of its dynamic executions
-   whose address was predicted correctly (the first execution cannot
-   be). *)
+   Every static load gets its own Figure 3 state machine, kept in
+   arrays on the program's dense load numbering; the prediction rate
+   of a load is the fraction of its dynamic executions whose address
+   was predicted correctly (the first execution cannot be). *)
 
-type counters =
-  { mutable executions : int
-  ; mutable correct : int
-  ; entry : Stride_entry.t
-  ; mutable seen : bool }
+type t =
+  { executions : int array
+  ; correct : int array
+  ; entries : Stride_entry.t array }
 
-type t = (int, counters) Hashtbl.t
+let create loads =
+  { executions = Array.make loads 0
+  ; correct = Array.make loads 0
+  ; entries = Array.init loads (fun _ -> Stride_entry.allocate 0) }
 
-let create () : t = Hashtbl.create 256
+(* Observe one dynamic execution of load [load] with computed address
+   [ca]. *)
+let observe t ~load ~ca =
+  let n = t.executions.(load) in
+  t.executions.(load) <- n + 1;
+  let entry = t.entries.(load) in
+  (* the first execution allocates the entry, which records ca *)
+  if n = 0 then Stride_entry.replace entry ca;
+  if Stride_entry.update entry ca && n > 0 then t.correct.(load) <- t.correct.(load) + 1
 
-(* Observe one dynamic execution of the load at [pc] with computed
-   address [ca]. *)
-let observe (t : t) ~pc ~ca =
-  let c =
-    match Hashtbl.find_opt t pc with
-    | Some c -> c
-    | None ->
-      let c = { executions = 0; correct = 0; entry = Stride_entry.allocate ca; seen = false } in
-      Hashtbl.replace t pc c;
-      c
-  in
-  c.executions <- c.executions + 1;
-  if c.seen then begin
-    if Stride_entry.update c.entry ca then c.correct <- c.correct + 1
-  end
-  else begin
-    (* first execution: the allocation already recorded ca *)
-    c.seen <- true;
-    ignore (Stride_entry.update c.entry ca)
-  end
+let rate t load =
+  let n = t.executions.(load) in
+  if n = 0 then None else Some (float_of_int t.correct.(load) /. float_of_int n)
 
-let rate (t : t) pc =
-  match Hashtbl.find_opt t pc with
-  | Some c when c.executions > 0 -> Some (float_of_int c.correct /. float_of_int c.executions)
-  | _ -> None
-
-let executions (t : t) pc =
-  match Hashtbl.find_opt t pc with Some c -> c.executions | None -> 0
+let executions t load = t.executions.(load)
 
 (* Aggregate prediction rate over a set of loads, dynamically weighted:
    total correct / total executions. *)
-let aggregate_rate (t : t) pcs =
-  let correct, total =
-    List.fold_left
-      (fun (c, n) pc ->
-        match Hashtbl.find_opt t pc with
-        | Some k -> (c + k.correct, n + k.executions)
-        | None -> (c, n))
-      (0, 0) pcs
-  in
+let aggregate_rate t loads =
+  let correct = List.fold_left (fun acc k -> acc + t.correct.(k)) 0 loads in
+  let total = List.fold_left (fun acc k -> acc + t.executions.(k)) 0 loads in
   if total = 0 then None else Some (float_of_int correct /. float_of_int total)
-

@@ -25,10 +25,11 @@ type t =
   ; mutable retired : int
   ; output : Buffer.t }
 
-(* An observer receives (pc, insn, effective_address, taken, next_pc)
-   for every retired instruction.  [effective_address] is meaningful
-   for loads and stores only; [taken] for control transfers. *)
-type observer = int -> Insn.t -> int -> bool -> int -> unit
+(* An observer receives (program, pc, effective_address, taken,
+   next_pc) for every retired instruction; the instruction is
+   [Program.insn program pc].  [effective_address] is meaningful for
+   loads and stores only; [taken] for control transfers. *)
+type observer = Program.t -> int -> int -> bool -> int -> unit
 
 (* Back to the program's entry: the data image in otherwise zeroed
    memory, zeroed registers, nothing retired or printed. *)
@@ -146,7 +147,7 @@ let exec_one (observer : observer) t =
   | Insn.Nop -> ()
   | Insn.Halt -> t.halted <- true);
   t.retired <- t.retired + 1;
-  observer pc insn !eff !taken !next_pc;
+  observer t.program pc !eff !taken !next_pc;
   t.pc <- !next_pc
 
 let step ?(observer = no_observer) t =

@@ -19,10 +19,12 @@ exception Bad_jump of { pc : int; retired : int }
 
 type t
 
-type observer = int -> Elag_isa.Insn.t -> int -> bool -> int -> unit
-(** [observer pc insn effective_address taken next_pc], called after
-    each instruction retires.  [effective_address] is meaningful for
-    memory operations, [taken] for control transfers. *)
+type observer = Elag_isa.Program.t -> int -> int -> bool -> int -> unit
+(** [observer program pc effective_address taken next_pc], called after
+    each instruction retires; the instruction is
+    [Elag_isa.Program.insn program pc], and the program's static tables
+    describe it.  [effective_address] is meaningful for memory
+    operations, [taken] for control transfers. *)
 
 val create : Elag_isa.Program.t -> t
 (** A fresh emulator over a {!Memory.default_size} memory holding the

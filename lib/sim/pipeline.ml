@@ -43,6 +43,7 @@
    construction [busy_cycles + Σ stall_breakdown = stats.cycles]. *)
 
 module Insn = Elag_isa.Insn
+module Program = Elag_isa.Program
 module Reg = Elag_isa.Reg
 module Addr_table = Elag_predict.Addr_table
 module Bric = Elag_predict.Bric
@@ -80,33 +81,16 @@ type load_site =
   ; mutable site_dcache_misses : int
   ; site_latency : Histogram.t }
 
-(* --- per-PC predecode --------------------------------------------------- *)
-
-type path = No_path | Table_path | Calc_path
-
-type control = Not_control | Predicted | Direct
-
-(* Which configured latency a non-load result has; [process] reads the
-   cycles from the config, so a decode serves every config. *)
-type latency = Single_cycle | Multiply | Divide
-
-(* Everything [process] needs from one static instruction, decoded on
-   the first retire of its PC and reused on every later one, across
-   {!reset} too: it depends on the instruction alone. *)
-type decoded =
-  { insn : Insn.t  (* what this was decoded from; another insn re-decodes *)
-  ; srcs : int array  (* {!Insn.uses}, in order *)
-  ; dst : int  (* the {!Insn.defs} register, or -1 *)
-  ; alu : bool
-  ; branch : bool
-  ; is_load : bool
-  ; is_store : bool
-  ; spec : Insn.load_spec  (* loads only *)
-  ; bytes : int  (* access width of loads and stores *)
-  ; base : int  (* base register of a register+offset address, or -1 *)
-  ; latency : latency  (* result latency unless a load *)
-  ; control : control  (* Predicted: BTB-resolved; Direct: jump/jal *)
-  ; site : load_site  (* loads only; [no_site] otherwise *) }
+let new_site pc spec =
+  { site_pc = pc
+  ; site_spec = spec
+  ; site_table_attempts = 0
+  ; site_table_successes = 0
+  ; site_calc_attempts = 0
+  ; site_calc_successes = 0
+  ; site_wasted_spec = 0
+  ; site_dcache_misses = 0
+  ; site_latency = Histogram.create ~bounds:Histogram.load_latency_bounds }
 
 let clear_site site =
   site.site_table_attempts <- 0;
@@ -117,36 +101,15 @@ let clear_site site =
   site.site_dcache_misses <- 0;
   Histogram.reset site.site_latency
 
-let new_site pc spec =
-  let site =
-    { site_pc = pc
-    ; site_spec = spec
-    ; site_table_attempts = 0
-    ; site_table_successes = 0
-    ; site_calc_attempts = 0
-    ; site_calc_successes = 0
-    ; site_wasted_spec = 0
-    ; site_dcache_misses = 0
-    ; site_latency = Histogram.create ~bounds:Histogram.load_latency_bounds }
-  in
-  clear_site site;
-  site
-
-(* Sentinels for PCs not yet seen.  [undecoded.insn] is a fresh block,
-   physically distinct from every instruction a program can retire. *)
-let no_site = new_site (-1) Insn.Ld_n
-
-let undecoded =
-  { insn = Insn.Jump (String.make 1 '?')
-  ; srcs = [||]; dst = -1; alu = false; branch = false; is_load = false
-  ; is_store = false; spec = Insn.Ld_n; bytes = 0; base = -1; latency = Single_cycle
-  ; control = Not_control; site = no_site }
+type path = No_path | Table_path | Calc_path
 
 let ring_size = 1024
 let ring_mask = ring_size - 1
 
 (* The structures [cfg] sizes are mutable so that {!reset} can swap in
-   one of another size. *)
+   one of another size.  [create] builds them fresh, each reset by its
+   own [create] and not again; [create] and [reset] both end in
+   [clear], so every initial value is defined in one place. *)
 type t =
   { mutable cfg : Config.t
   ; mutable icache : Cache.t
@@ -164,8 +127,8 @@ type t =
   ; mutable branches_used : int
   ; mutable fetch_ready : int
   ; mutable fetch_cause : Stall.t  (* why waiting on the front end stalls *)
-  ; mutable decoded : decoded array  (* by PC *)
-  ; mutable sites : load_site array  (* by PC; [no_site] unless a load *)
+  ; mutable bound : Program.t option  (* the program [sites] describe *)
+  ; mutable sites : load_site array  (* by load number of [bound] *)
   (* in-flight stores, a FIFO ring in issue order: slots
      [st_head, st_head + st_len) modulo the capacity *)
   ; mutable st_cycle : int array
@@ -217,10 +180,36 @@ let store_window (cfg : Config.t) =
 let cache (cfg : Config.t) size_bytes =
   Cache.create ~ways:cfg.cache_ways ~size_bytes ~line_bytes:cfg.line_bytes ()
 
+(* The pipeline's own state, apart from the structures its config
+   sizes: the one place it is initialized.  The store window's slots
+   and the candidate cycle's scratch ([sel_path], [ev_*]) need no
+   clearing: no slot or scratch field is read before it is written. *)
+let clear t =
+  Array.fill t.reg_ready 0 Reg.count 0;
+  Array.fill t.reg_cause 0 Reg.count Stall.Raw_dependence;
+  Array.fill t.port_cycle 0 ring_size (-1);
+  Array.fill t.port_count 0 ring_size 0;
+  t.cur_cycle <- 4 (* leave room for stage offsets at startup *);
+  t.slots_used <- 0;
+  t.alus_used <- 0;
+  t.branches_used <- 0;
+  t.fetch_ready <- 4;
+  t.fetch_cause <- Stall.Icache_miss (* startup fill = frontend *);
+  Array.iter clear_site t.sites;
+  t.st_head <- 0;
+  t.st_len <- 0;
+  t.tracer <- None;
+  t.last_issue <- -1;
+  t.busy_cycles <- 0;
+  Array.fill t.stall_cycles 0 Stall.cardinal 0;
+  t.drain_cause <- Stall.Raw_dependence;
+  t.n_cycles <- 0;
+  t.n_instructions <- 0;
+  t.n_stores <- 0
+
 (* Re-arm [t] for [cfg].  Every structure [cfg] gives the same size is
-   reset in place and every other one allocated; the per-PC decode is
-   kept, its sites zeroed.  This is the one place the initial state is
-   written: [create] allocates and then resets. *)
+   reset in place and every other one allocated, born reset by its own
+   [create]; the bound program's sites are kept and zeroed. *)
 let reset t (cfg : Config.t) =
   let old = t.cfg in
   t.cfg <- cfg;
@@ -243,44 +232,13 @@ let reset t (cfg : Config.t) =
        Bric.reset bric;
        t.bric
      | _, n -> Option.map Bric.create n);
-  Array.fill t.reg_ready 0 Reg.count 0;
-  Array.fill t.reg_cause 0 Reg.count Stall.Raw_dependence;
-  Array.fill t.port_cycle 0 ring_size (-1);
-  Array.fill t.port_count 0 ring_size 0;
-  t.cur_cycle <- 4 (* leave room for stage offsets at startup *);
-  t.slots_used <- 0;
-  t.alus_used <- 0;
-  t.branches_used <- 0;
-  t.fetch_ready <- 4;
-  t.fetch_cause <- Stall.Icache_miss (* startup fill = frontend *);
-  Array.iter (fun site -> if site != no_site then clear_site site) t.sites;
   let window = store_window cfg in
-  if Array.length t.st_cycle = window then begin
-    Array.fill t.st_cycle 0 window 0;
-    Array.fill t.st_addr 0 window 0;
-    Array.fill t.st_bytes 0 window 0
-  end
-  else begin
+  if Array.length t.st_cycle <> window then begin
     t.st_cycle <- Array.make window 0;
     t.st_addr <- Array.make window 0;
     t.st_bytes <- Array.make window 0
   end;
-  t.st_head <- 0;
-  t.st_len <- 0;
-  t.sel_path <- No_path;
-  t.ev_dispatched <- false;
-  t.ev_access_cycle <- 0;
-  t.ev_addr <- 0;
-  t.ev_success <- false;
-  t.ev_latency <- 0;
-  t.tracer <- None;
-  t.last_issue <- -1;
-  t.busy_cycles <- 0;
-  Array.fill t.stall_cycles 0 Stall.cardinal 0;
-  t.drain_cause <- Stall.Raw_dependence;
-  t.n_cycles <- 0;
-  t.n_instructions <- 0;
-  t.n_stores <- 0
+  clear t
 
 let create (cfg : Config.t) =
   let window = store_window cfg in
@@ -301,7 +259,7 @@ let create (cfg : Config.t) =
     ; branches_used = 0
     ; fetch_ready = 0
     ; fetch_cause = Stall.Icache_miss
-    ; decoded = [||]
+    ; bound = None
     ; sites = [||]
     ; st_cycle = Array.make window 0
     ; st_addr = Array.make window 0
@@ -323,7 +281,7 @@ let create (cfg : Config.t) =
     ; n_instructions = 0
     ; n_stores = 0 }
   in
-  reset t cfg;
+  clear t;
   t
 
 (* Integer-specialized [max]/[min]: the polymorphic ones go through the
@@ -331,61 +289,13 @@ let create (cfg : Config.t) =
 let imax (a : int) b = if a >= b then a else b
 let imin (a : int) b = if a <= b then a else b
 
-let decode site insn =
-  let bytes, base =
-    match insn with
-    | Insn.Load { size; addr; _ } | Insn.Store { size; addr; _ } ->
-      (Insn.size_bytes size, match addr with Insn.Base_offset (b, _) -> b | _ -> -1)
-    | _ -> (0, -1)
-  in
-  { insn
-  ; srcs = Array.of_list (Insn.uses insn)
-  ; dst = (match Insn.defs insn with [ d ] -> d | _ -> -1)
-  ; alu =
-      (match insn with
-      | Insn.Alu _ | Insn.Li _ | Insn.Syscall _ | Insn.Nop | Insn.Halt -> true
-      | _ -> false)
-  ; branch = Insn.is_branch insn
-  ; is_load = Insn.is_load insn
-  ; is_store = Insn.is_store insn
-  ; spec = Option.value (Insn.load_spec insn) ~default:Insn.Ld_n
-  ; bytes
-  ; base
-  ; latency =
-      (match insn with
-      | Insn.Alu { op = Insn.Mul; _ } -> Multiply
-      | Insn.Alu { op = Insn.Div | Insn.Rem; _ } -> Divide
-      | _ -> Single_cycle)
-  ; control =
-      (match insn with
-      | Insn.Branch _ | Insn.Jr _ | Insn.Jalr _ -> Predicted
-      | Insn.Jump _ | Insn.Jal _ -> Direct
-      | _ -> Not_control)
-  ; site }
-
-let grow arr n fill =
-  let a = Array.make (imax n (2 * Array.length arr)) fill in
-  Array.blit arr 0 a 0 (Array.length arr);
-  a
-
-(* Decode [insn] at [pc] and cache it.  A load gets a new site: one
-   left at [pc] by another instruction counted that one. *)
-let decode_at t pc insn =
-  if pc >= Array.length t.decoded then begin
-    t.decoded <- grow t.decoded (pc + 1) undecoded;
-    t.sites <- grow t.sites (pc + 1) no_site
-  end;
-  let site =
-    match insn with Insn.Load { spec; _ } -> new_site pc spec | _ -> no_site
-  in
-  t.sites.(pc) <- site;
-  let d = decode site insn in
-  t.decoded.(pc) <- d;
-  d
-
-let lookup_decoded t pc insn =
-  if pc < Array.length t.decoded && t.decoded.(pc).insn == insn then t.decoded.(pc)
-  else decode_at t pc insn
+(* Give [p] its load sites, one per load number.  Sites are bound on
+   the first retire of a program and kept across {!reset}. *)
+let bind t p =
+  t.bound <- Some p;
+  t.sites <-
+    Array.init (Program.load_count p) (fun k ->
+        new_site (Program.load_pc p k) (Program.load_spec p k))
 
 (* --- data-cache port ring ------------------------------------------- *)
 
@@ -492,7 +402,7 @@ let calc_access_cycle t c base = 1 + imax (c - 2) t.reg_ready.(base)
 (* Evaluate the load's speculative access at candidate issue cycle [c]
    along [t.sel_path], into the [ev_*] fields.  Touches no predictor
    state, so the chosen cycle's result stands at commit. *)
-let eval_spec t c (d : decoded) pc eff =
+let eval_spec t c p pc eff =
   t.ev_dispatched <- false;
   t.ev_success <- false;
   match t.sel_path with
@@ -513,12 +423,12 @@ let eval_spec t c (d : decoded) pc eff =
         t.ev_success <-
           pa = eff
           && Cache.probe t.dcache pa
-          && not (mem_interlock t ~read_cycle:access_cycle pa d.bytes)
+          && not (mem_interlock t ~read_cycle:access_cycle pa (Program.width p pc))
       end
     | _ -> ()
   end
   | Calc_path ->
-    let base = d.base in
+    let base = Program.base p pc in
     if base >= 0 then begin
       let structure_hit =
         match t.bric with Some b -> Bric.peek b ~cycle:(c - 2) base | None -> false
@@ -531,21 +441,22 @@ let eval_spec t c (d : decoded) pc eff =
         t.ev_latency <- imax 0 (access_cycle + 1 - c);
         t.ev_success <-
           Cache.probe t.dcache eff
-          && not (mem_interlock t ~read_cycle:access_cycle eff d.bytes)
+          && not (mem_interlock t ~read_cycle:access_cycle eff (Program.width p pc))
       end
     end
 
 (* Which early path does this load take at candidate cycle [c] under
    the configured mechanism?  Sets [t.sel_path]. *)
-let select_path t c (d : decoded) =
+let select_path t c p pc load =
   t.sel_path <-
     (match t.cfg.mechanism with
     | Config.No_early -> No_path
     | Config.Table_only { compiler_filtered; _ } ->
-      if (not compiler_filtered) || d.spec = Insn.Ld_p then Table_path else No_path
+      if (not compiler_filtered) || Program.load_spec p load = Insn.Ld_p then Table_path
+      else No_path
     | Config.Calc_only _ -> Calc_path
     | Config.Dual { selection = Config.Compiler_directed; _ } -> begin
-      match d.spec with
+      match Program.load_spec p load with
       | Insn.Ld_p -> Table_path
       | Insn.Ld_e -> Calc_path
       | Insn.Ld_n -> No_path
@@ -557,29 +468,36 @@ let select_path t c (d : decoded) =
          otherwise it takes the early-calculation path through R_addr,
          rebinding it.  With no compiler guidance, every calc-path load
          competes for the single R_addr binding. *)
-      if d.base < 0 || t.reg_ready.(d.base) > c - 2 then Table_path else Calc_path)
+      let base = Program.base p pc in
+      if base < 0 || t.reg_ready.(base) > c - 2 then Table_path else Calc_path)
 
 (* --- per-instruction processing --------------------------------------- *)
 
 (* Allocation-free: no closures, no tuples, no options; all per-load
-   state lives in [t]'s mutable fields and the predecoded record. *)
-let process t pc insn eff taken next_pc =
-  let d = lookup_decoded t pc insn in
+   state lives in [t]'s mutable fields and the static facts in [p]'s
+   tables. *)
+let process t p pc eff taken next_pc =
+  (match t.bound with Some q when q == p -> () | _ -> bind t p);
+  let op = Program.op p pc in
+  let load = Program.load_index p pc in
   t.n_instructions <- t.n_instructions + 1;
   (* instruction fetch *)
   if not (Cache.access t.icache (pc lsl 2)) then
     bump_fetch t (imax t.fetch_ready t.cur_cycle + t.cfg.miss_penalty)
       Stall.Icache_miss;
-  let alu = d.alu and branch = d.branch in
+  let alu = match op with Program.Single_cycle | Multiply | Divide -> true | _ -> false in
+  let branch = match op with Program.Predicted | Direct -> true | _ -> false in
+  let store = match op with Program.Store -> true | _ -> false in
   let sources_ready = ref 0 in
   let sources_cause = ref Stall.Raw_dependence in
-  let srcs = d.srcs in
-  for i = 0 to Array.length srcs - 1 do
-    let r = Array.unsafe_get srcs i in
+  let srcs = ref (Program.sources p pc) in
+  while !srcs <> 0 do
+    let r = !srcs land 63 in
     if t.reg_ready.(r) > !sources_ready then begin
       sources_ready := t.reg_ready.(r);
       sources_cause := t.reg_cause.(r)
-    end
+    end;
+    srcs := !srcs lsr 6
   done;
   let sources_ready = !sources_ready in
   let c0 = imax (imax t.fetch_ready sources_ready) t.cur_cycle in
@@ -589,11 +507,11 @@ let process t pc insn eff taken next_pc =
   while !searching do
     let cc = !c in
     if not (structural_ok t cc ~alu ~branch) then c := cc + 1
-    else if d.is_store then
+    else if store then
       if port_free t (cc + 1) then searching := false else c := cc + 1
-    else if d.is_load then begin
-      select_path t cc d;
-      eval_spec t cc d pc eff;
+    else if load >= 0 then begin
+      select_path t cc p pc load;
+      eval_spec t cc p pc eff;
       if t.ev_success || port_free t (cc + 1) then searching := false
       else c := cc + 1
     end
@@ -626,15 +544,16 @@ let process t pc insn eff taken next_pc =
   if branch then t.branches_used <- t.branches_used + 1;
   let latency =
     ref
-      (match d.latency with
-      | Single_cycle -> 1
-      | Multiply -> t.cfg.mul_latency
-      | Divide -> t.cfg.div_latency)
+      (match op with
+      | Program.Multiply -> t.cfg.mul_latency
+      | Divide -> t.cfg.div_latency
+      | _ -> 1)
   in
   let def_cause = ref Stall.Raw_dependence in
   (* loads *)
-  if d.is_load then begin
-    let site = d.site in
+  if load >= 0 then begin
+    let site = t.sites.(load) in
+    let base = Program.base p pc in
     let path = t.sel_path in
     (* commit structure probes: the decode-stage table probe (counted
        here, once, at the chosen cycle), or the calc path's probe of
@@ -642,9 +561,9 @@ let process t pc insn eff taken next_pc =
     (match path with
     | Table_path -> (
       match t.table with Some table -> ignore (Addr_table.probe table pc) | None -> ())
-    | Calc_path when d.base >= 0 -> (
+    | Calc_path when base >= 0 -> (
       match t.bric with
-      | Some b -> ignore (Bric.probe b ~cycle:(c - 2) d.base)
+      | Some b -> ignore (Bric.probe b ~cycle:(c - 2) base)
       | None -> ())
     | Calc_path | No_path -> ());
     (* speculative dispatch effects *)
@@ -693,7 +612,7 @@ let process t pc insn eff taken next_pc =
     | _ -> ())
   end;
   (* stores *)
-  if d.is_store then begin
+  if store then begin
     t.n_stores <- t.n_stores + 1;
     book_port t (c + 1);
     ignore (Cache.access_store t.dcache eff);
@@ -705,11 +624,11 @@ let process t pc insn eff taken next_pc =
        stores pruned here could never interlock.  Without this, runs
        that never probe keep one entry per dynamic store. *)
     prune_stores t (c - 2);
-    push_store t c eff d.bytes
+    push_store t c eff (Program.width p pc)
   end;
   (* control flow *)
-  (match d.control with
-  | Predicted ->
+  (match op with
+  | Program.Predicted ->
     let correct = Btb.update t.btb pc ~taken ~target:next_pc in
     if not correct then
       bump_fetch t (c + 1 + t.cfg.mispredict_penalty) Stall.Btb_mispredict
@@ -718,13 +637,14 @@ let process t pc insn eff taken next_pc =
     (* direct unconditional transfers redirect fetch without penalty
        but end the fetch group *)
     t.fetch_ready <- imax t.fetch_ready (c + 1)
-  | Not_control -> ());
+  | _ -> ());
   (* destination *)
-  if d.dst >= 0 then begin
-    t.reg_ready.(d.dst) <- c + !latency;
-    t.reg_cause.(d.dst) <- !def_cause
+  let dst = Program.dest p pc in
+  if dst >= 0 then begin
+    t.reg_ready.(dst) <- c + !latency;
+    t.reg_cause.(dst) <- !def_cause
   end;
-  (match t.tracer with Some f -> f pc insn c !latency | None -> ());
+  (match t.tracer with Some f -> f pc (Program.insn p pc) c !latency | None -> ());
   (* an issued instruction occupies its issue cycle even at latency 0 *)
   let finish = imax (c + !latency) (c + 1) in
   if finish > t.n_cycles then begin
@@ -734,8 +654,8 @@ let process t pc insn eff taken next_pc =
 
 let set_tracer t f = t.tracer <- Some f
 
-let observer t : Emulator.observer = fun pc insn eff taken next_pc ->
-  process t pc insn eff taken next_pc
+let observer t : Emulator.observer = fun p pc eff taken next_pc ->
+  process t p pc eff taken next_pc
 
 let config t = t.cfg
 
@@ -768,13 +688,11 @@ let stall_breakdown t =
 let stall_total t =
   List.fold_left (fun acc (_, n) -> acc + n) 0 (stall_breakdown t)
 
-(* A site zeroed by [reset] and not run since belongs to an earlier
-   run: every execution observes its latency. *)
+(* A site that has not run since [bind] or [reset] belongs to no run:
+   every execution observes its latency. *)
 let load_sites t =
   Array.fold_right
-    (fun site acc ->
-      if site == no_site || Histogram.count site.site_latency = 0 then acc
-      else site :: acc)
+    (fun site acc -> if Histogram.count site.site_latency = 0 then acc else site :: acc)
     t.sites []
 
 let stats t =

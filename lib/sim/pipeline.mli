@@ -64,14 +64,15 @@ val reset : t -> Config.t -> unit
     {!stall_breakdown}, {!busy_cycles}, {!load_sites}, {!table_stats}
     and {!bric_stats} equal to what [create cfg] and the same run
     leave.  It refills in place every structure whose size [cfg]
-    keeps and allocates only those whose size it changes.  The per-PC
-    decode survives, since it depends on the instruction alone; a PC
-    that retires a physically different instruction is decoded
-    afresh and given a new load site.  The tracer is removed. *)
+    keeps and allocates only those whose size it changes.  The load
+    sites of the program last run are kept and zeroed; a retire from
+    another program binds that program a fresh set.  The tracer is
+    removed. *)
 
-val process : t -> int -> Elag_isa.Insn.t -> int -> bool -> int -> unit
+val process : t -> Elag_isa.Program.t -> int -> int -> bool -> int -> unit
 (** Feed one retired instruction (same signature as
-    {!Emulator.observer}). *)
+    {!Emulator.observer}).  The static facts about it are read from
+    the program's tables; the pipeline decodes nothing. *)
 
 val set_tracer : t -> (int -> Elag_isa.Insn.t -> int -> int -> unit) -> unit
 (** Install a per-instruction hook [(pc, insn, issue_cycle, latency)],
@@ -124,9 +125,10 @@ val stall_breakdown : t -> (Elag_telemetry.Stall.t * int) list
 val stall_total : t -> int
 
 val load_sites : t -> load_site list
-(** Every load PC observed since {!create} or the last {!reset},
-    ascending.  These records are the only place the per-load counters
-    are kept. *)
+(** Every load of the program last run that executed since {!create}
+    or the last {!reset}, ascending by pc.  These records, one per
+    load number of that program, are the only place the per-load
+    counters are kept. *)
 
 val load_latency_histogram : t -> Elag_telemetry.Histogram.t
 (** Aggregate effective-latency distribution over all loads: a fresh

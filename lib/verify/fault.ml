@@ -97,9 +97,9 @@ let preset_of_target = function
 
 (* --- retire-stream fingerprint ---------------------------------------- *)
 
-(* FNV-1a over the observer tuple.  [Hashtbl.hash] on the instruction
-   is deterministic for a given compiler, which is all the comparison
-   between two runs in the same process (or CI job) needs. *)
+(* FNV-1a over each retire's pc, effective address, branch outcome and
+   next pc.  Both runs execute the same program, so the pc names the
+   instruction and its hash would add nothing. *)
 
 let fnv_prime = 0x100000001B3
 
@@ -107,9 +107,8 @@ let stream_hash_init = 0x4BF29CE484222325
 
 let mix h x = (h lxor (x land max_int)) * fnv_prime land max_int
 
-let stream_hash_step h pc insn eff taken next_pc =
+let stream_hash_step h pc eff taken next_pc =
   let h = mix h pc in
-  let h = mix h (Hashtbl.hash insn) in
   let h = mix h eff in
   let h = mix h (if taken then 1 else 0) in
   mix h next_pc
@@ -214,9 +213,9 @@ let retire_loop ?max_insns (cfg : Elag_sim.Config.t) program ~after_retire =
   let pipe_obs = Pipeline.observer pipe in
   let hash = ref stream_hash_init in
   let retired = ref 0 in
-  let obs pc insn eff taken next_pc =
-    pipe_obs pc insn eff taken next_pc;
-    hash := stream_hash_step !hash pc insn eff taken next_pc;
+  let obs p pc eff taken next_pc =
+    pipe_obs p pc eff taken next_pc;
+    hash := stream_hash_step !hash pc eff taken next_pc;
     incr retired;
     after_retire pipe !retired
   in

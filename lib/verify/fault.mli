@@ -67,13 +67,6 @@ val preset_of_target : target -> string
 val target_names : string list
 (** Every parseable target name, for usage text. *)
 
-(** {2 Retire-stream fingerprint} *)
-
-val stream_hash_init : int
-
-val stream_hash_step : int -> int -> Elag_isa.Insn.t -> int -> bool -> int -> int
-(** FNV-1a-style fold of one retire event into the running hash. *)
-
 (** {2 Running plans} *)
 
 type baseline =

@@ -10,6 +10,7 @@
    cannot bury the root cause. *)
 
 module Insn = Elag_isa.Insn
+module Program = Elag_isa.Program
 module Emulator = Elag_sim.Emulator
 module Json = Elag_telemetry.Json
 
@@ -43,19 +44,19 @@ let ok r =
    captured by one closure built in [create] (passed to
    {!Emulator.step} as a preallocated option), the agreeing events sit
    in a fixed ring of parallel arrays (retire [i] in slot [i mod keep]),
-   and [event] records are built only at the divergence. *)
+   and [event] records are built only at the divergence, reading each
+   instruction from its program. *)
 type t =
   { reference : Emulator.t
+  ; reference_program : Program.t
   ; keep : int
   ; ring_pc : int array
-  ; ring_insn : Insn.t array
   ; ring_eff : int array
   ; ring_taken : bool array
   ; ring_next_pc : int array
   ; mutable compared : int
   ; mutable div : divergence option
   ; mutable ref_pc : int
-  ; mutable ref_insn : Insn.t
   ; mutable ref_eff : int
   ; mutable ref_taken : bool
   ; mutable ref_next_pc : int
@@ -65,57 +66,61 @@ let create ?(keep = 8) program =
   if keep < 0 then invalid_arg "Oracle.create";
   let rec t =
     { reference = Emulator.create program
+    ; reference_program = program
     ; keep
     ; ring_pc = Array.make keep 0
-    ; ring_insn = Array.make keep Insn.Nop
     ; ring_eff = Array.make keep 0
     ; ring_taken = Array.make keep false
     ; ring_next_pc = Array.make keep 0
     ; compared = 0
     ; div = None
     ; ref_pc = 0
-    ; ref_insn = Insn.Nop
     ; ref_eff = 0
     ; ref_taken = false
     ; ref_next_pc = 0
     ; capture =
         Some
-          (fun pc insn eff taken next_pc ->
+          (fun _ pc eff taken next_pc ->
             t.ref_pc <- pc;
-            t.ref_insn <- insn;
             t.ref_eff <- eff;
             t.ref_taken <- taken;
             t.ref_next_pc <- next_pc) }
   in
   t
 
-(* the last [min keep compared] agreeing events, oldest first *)
-let recent_list t =
+(* the last [min keep compared] agreeing events of the subject
+   program [p], oldest first *)
+let recent_list t p =
   List.init (min t.keep t.compared) (fun k ->
       let i = t.compared - min t.keep t.compared + k in
       let s = i mod t.keep in
       { ev_index = i
       ; ev_pc = t.ring_pc.(s)
-      ; ev_insn = t.ring_insn.(s)
+      ; ev_insn = Program.insn p t.ring_pc.(s)
       ; ev_eff = t.ring_eff.(s)
       ; ev_taken = t.ring_taken.(s)
       ; ev_next_pc = t.ring_next_pc.(s) })
 
+(* Both programs' instructions at [pc]; a planted mutation shares
+   every instruction it leaves alone, so [==] settles all but one pc. *)
+let same_insn p q pc =
+  let a = Program.insn p pc and b = Program.insn q pc in
+  a == b || a = b
+
 let observer t : Emulator.observer =
- fun pc insn eff taken next_pc ->
+ fun p pc eff taken next_pc ->
   match t.div with
   | Some _ -> ()
   | None ->
     let stepped = Emulator.step ?observer:t.capture t.reference in
     if
       stepped && pc = t.ref_pc
-      && (insn == t.ref_insn || insn = t.ref_insn)
+      && same_insn p t.reference_program pc
       && eff = t.ref_eff && taken = t.ref_taken && next_pc = t.ref_next_pc
     then begin
       if t.keep > 0 then begin
         let s = t.compared mod t.keep in
         t.ring_pc.(s) <- pc;
-        t.ring_insn.(s) <- insn;
         t.ring_eff.(s) <- eff;
         t.ring_taken.(s) <- taken;
         t.ring_next_pc.(s) <- next_pc
@@ -123,10 +128,10 @@ let observer t : Emulator.observer =
       t.compared <- t.compared + 1
     end
     else
-      let event pc insn eff taken next_pc =
+      let event prog pc eff taken next_pc =
         { ev_index = t.compared
         ; ev_pc = pc
-        ; ev_insn = insn
+        ; ev_insn = Program.insn prog pc
         ; ev_eff = eff
         ; ev_taken = taken
         ; ev_next_pc = next_pc }
@@ -134,14 +139,14 @@ let observer t : Emulator.observer =
       t.div <-
         Some
           { div_index = t.compared
-          ; div_subject = event pc insn eff taken next_pc
+          ; div_subject = event p pc eff taken next_pc
           ; div_reference =
               (if stepped then
                  Some
-                   (event t.ref_pc t.ref_insn t.ref_eff t.ref_taken
+                   (event t.reference_program t.ref_pc t.ref_eff t.ref_taken
                       t.ref_next_pc)
                else None)
-          ; div_recent = recent_list t }
+          ; div_recent = recent_list t p }
 
 let divergence t = t.div
 
@@ -151,9 +156,9 @@ let run ?max_insns ?keep ?reference (cfg : Elag_sim.Config.t) program =
   let pipe = Elag_sim.Pipeline.create cfg in
   let pipe_obs = Elag_sim.Pipeline.observer pipe in
   let oracle_obs = observer oracle in
-  let obs pc insn eff taken next_pc =
-    pipe_obs pc insn eff taken next_pc;
-    oracle_obs pc insn eff taken next_pc
+  let obs p pc eff taken next_pc =
+    pipe_obs p pc eff taken next_pc;
+    oracle_obs p pc eff taken next_pc
   in
   let subject = Emulator.create program in
   Emulator.run ~observer:obs ?max_insns subject;

@@ -1,7 +1,9 @@
 (** Differential oracle: the timing pipeline and a reference
     architectural emulator run in lockstep over the retired-instruction
-    stream, and every retire event — [(pc, insn, effective_address,
-    taken, next_pc)] — must agree instruction by instruction.
+    stream, and every retire event must agree instruction by
+    instruction: the pc, the instruction at that pc in each program
+    (the subject's and the reference's), the effective address, the
+    branch outcome and the next pc.
 
     The simulator is emulation-driven, so the pipeline cannot *compute*
     a different architectural result; what the oracle pins down is the

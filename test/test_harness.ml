@@ -30,7 +30,7 @@ let misclassified_src =
 let test_profile_collects_rates () =
   let program = Compile.compile misclassified_src in
   let prof = Profile.collect program in
-  check_bool "loads observed" true (prof.Profile.total_loads > 1000);
+  check_bool "loads observed" true (Profile.total_loads prof > 1000);
   (* at least one load should be highly predictable *)
   let has_predictable =
     List.exists

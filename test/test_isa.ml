@@ -222,6 +222,79 @@ let test_static_loads_and_map () =
   | Some Insn.Ld_n -> ()
   | _ -> Alcotest.fail "map_insns mutated the original"
 
+(* The static tables against the instructions they were decoded from:
+   every pc's sources, destination, issue class, access width and base
+   register, and the dense load index (ascending pcs, one entry per
+   load, each with its specifier). *)
+let check_tables label p =
+  let unpack s =
+    let rec go s = if s = 0 then [] else (s land 63) :: go (s lsr 6) in
+    go s
+  in
+  let fail what pc = Alcotest.failf "%s: pc %d: %s" label pc what in
+  for pc = 0 to Program.length p - 1 do
+    let insn = Program.insn p pc in
+    if unpack (Program.sources p pc) <> Insn.uses insn then fail "sources" pc;
+    let dest = match Insn.defs insn with [ d ] -> d | _ -> -1 in
+    if Program.dest p pc <> dest then fail "dest" pc;
+    let op_ok =
+      match (Program.op p pc, insn) with
+      | Program.Multiply, Insn.Alu { op = Insn.Mul; _ }
+      | Program.Divide, Insn.Alu { op = Insn.Div | Insn.Rem; _ }
+      | Program.Load, Insn.Load _
+      | Program.Store, Insn.Store _
+      | Program.Predicted, (Insn.Branch _ | Insn.Jr _ | Insn.Jalr _)
+      | Program.Direct, (Insn.Jump _ | Insn.Jal _)
+      | Program.Single_cycle, (Insn.Li _ | Insn.Syscall _ | Insn.Nop | Insn.Halt) -> true
+      | Program.Single_cycle, Insn.Alu { op; _ } ->
+        not (List.mem op [ Insn.Mul; Insn.Div; Insn.Rem ])
+      | _ -> false
+    in
+    if not op_ok then fail "op" pc;
+    let width, base =
+      match insn with
+      | Insn.Load { size; addr; _ } | Insn.Store { size; addr; _ } ->
+        ( Insn.size_bytes size
+        , match addr with Insn.Base_offset (b, _) -> b | _ -> -1 )
+      | _ -> (0, -1)
+    in
+    if Program.width p pc <> width then fail "width" pc;
+    if Program.base p pc <> base then fail "base" pc;
+    let k = Program.load_index p pc in
+    if Insn.is_load insn then begin
+      if k < 0 || Program.load_pc p k <> pc then fail "load index" pc;
+      if Insn.load_spec insn <> Some (Program.load_spec p k) then fail "load spec" pc
+    end
+    else if k <> -1 then fail "load index of a non-load" pc
+  done;
+  let pcs = List.init (Program.load_count p) (Program.load_pc p) in
+  check_bool (label ^ ": load pcs ascending") true (List.sort_uniq compare pcs = pcs);
+  check_bool (label ^ ": static loads")
+    true (List.map fst (Program.static_loads p) = pcs)
+
+let test_program_tables () =
+  let module Compile = Elag_harness.Compile in
+  let compiled (w : Elag_workloads.Workload.t) classification =
+    Compile.compile
+      ~options:{ Compile.default_options with classification }
+      w.Elag_workloads.Workload.source
+  in
+  let programs =
+    List.concat_map
+      (fun (w : Elag_workloads.Workload.t) ->
+        [ (w.name, compiled w Compile.Heuristics)
+        ; (w.name ^ " -nc", compiled w Compile.No_classification) ])
+      Elag_workloads.Suite.all
+    @ List.init 40 (fun seed ->
+          (Printf.sprintf "gen %d" seed, (Elag_fuzz.Gen.program seed).Elag_fuzz.Gen.program))
+  in
+  List.iter
+    (fun (label, p) ->
+      check_tables label p;
+      (* [map_insns] rebuilds the tables from the rewritten code *)
+      check_tables (label ^ " as ld_e") (Program.map_insns (fun _ -> Insn.with_load_spec Insn.Ld_e) p))
+    programs
+
 let suite =
   [ Alcotest.test_case "alu: norm range" `Quick test_norm_range
   ; Alcotest.test_case "alu: add wraps" `Quick test_add_wraps
@@ -240,5 +313,7 @@ let suite =
   ; Alcotest.test_case "layout: little endian" `Quick test_layout_image_little_endian
   ; Alcotest.test_case "program: assembly" `Quick test_assemble_resolves_targets
   ; Alcotest.test_case "program: unknown label" `Quick test_assemble_unknown_label
-  ; Alcotest.test_case "program: static loads" `Quick test_static_loads_and_map ]
+  ; Alcotest.test_case "program: static loads" `Quick test_static_loads_and_map
+  ; Alcotest.test_case "program: tables agree with the instructions" `Quick
+      test_program_tables ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) alu_props

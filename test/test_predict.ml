@@ -109,34 +109,36 @@ let test_peek_is_pure () =
 
 (* --- ideal predictor ----------------------------------------------------- *)
 
+(* Loads are named by their number in a program's dense load index. *)
 let test_ideal_rates () =
-  let t = Ideal.create () in
-  (* strided load at pc 10: 20 executions *)
+  let t = Ideal.create 3 in
+  (* strided load 0: 20 executions *)
   for i = 0 to 19 do
-    Ideal.observe t ~pc:10 ~ca:(i * 4)
+    Ideal.observe t ~load:0 ~ca:(i * 4)
   done;
-  (* constant load at pc 11 *)
+  (* constant load 1 *)
   for _ = 1 to 10 do
-    Ideal.observe t ~pc:11 ~ca:999
+    Ideal.observe t ~load:1 ~ca:999
   done;
-  (match Ideal.rate t 10 with
+  (match Ideal.rate t 0 with
   | Some r -> check_bool "strided rate ~0.85" true (r > 0.8 && r < 0.95)
   | None -> Alcotest.fail "no rate");
-  (match Ideal.rate t 11 with
+  (match Ideal.rate t 1 with
   | Some r -> check_bool "constant rate 0.9" true (r >= 0.9)
   | None -> Alcotest.fail "no rate");
-  check "executions tracked" 20 (Ideal.executions t 10);
-  check_bool "unknown pc" true (Ideal.rate t 99 = None)
+  check "executions tracked" 20 (Ideal.executions t 0);
+  check "unexecuted load: no executions" 0 (Ideal.executions t 2);
+  check_bool "unexecuted load: no rate" true (Ideal.rate t 2 = None)
 
 let test_ideal_aggregate () =
-  let t = Ideal.create () in
+  let t = Ideal.create 2 in
   for i = 0 to 9 do
-    Ideal.observe t ~pc:1 ~ca:(i * 4);
-    Ideal.observe t ~pc:2 ~ca:(i * 123456 mod 7919)
+    Ideal.observe t ~load:0 ~ca:(i * 4);
+    Ideal.observe t ~load:1 ~ca:(i * 123456 mod 7919)
   done;
-  match Ideal.aggregate_rate t [ 1; 2 ] with
+  match Ideal.aggregate_rate t [ 0; 1 ] with
   | Some r ->
-    let r1 = Option.get (Ideal.rate t 1) and r2 = Option.get (Ideal.rate t 2) in
+    let r1 = Option.get (Ideal.rate t 0) and r2 = Option.get (Ideal.rate t 1) in
     Alcotest.(check (float 0.0001)) "aggregate is weighted mean" ((r1 +. r2) /. 2.) r
   | None -> Alcotest.fail "no aggregate"
 

@@ -418,7 +418,7 @@ let test_speedup_ordering_on_workload () =
 (* The timed retire path allocates nothing in steady state: under every
    mechanism preset, emulating and timing 072.sc from its 100 K-th to
    its 1 M-th retire costs under one minor-heap word per retire.  This
-   pins the predecoded pipeline, the fixed predictor structures and
+   pins the table-driven pipeline, the fixed predictor structures and
    the in-flight store window's bound (without it the fixed store ring
    overflows under presets that rarely probe). *)
 let test_retire_path_allocation_free () =
@@ -449,7 +449,7 @@ let test_retire_path_allocation_free () =
    leaves: one pipeline runs every program below, and one emulator per
    program runs the 12 presets in a seeded shuffled order, so the
    table and BRIC sizes change between runs and the pipeline outlives
-   each program.  The two workloads stop at a [Runaway] mid-run before
+   each program, binding each its own load sites.  The two workloads stop at a [Runaway] mid-run before
    every reset.  Each run must match a fresh pipeline and emulator on
    every statistic, every load site with its histogram, the output and
    the retire count. *)

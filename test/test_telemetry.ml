@@ -235,13 +235,13 @@ let test_derived_load_counters () =
       let t = Pipeline.create cfg in
       let by_spec = Array.make 3 0 in
       let spec_index = function Insn.Ld_n -> 0 | Insn.Ld_p -> 1 | Insn.Ld_e -> 2 in
-      let observer pc insn eff taken next_pc =
-        (match insn with
+      let observer p pc eff taken next_pc =
+        (match Program.insn p pc with
         | Insn.Load { spec; _ } ->
           let i = spec_index spec in
           by_spec.(i) <- by_spec.(i) + 1
         | _ -> ());
-        Pipeline.process t pc insn eff taken next_pc
+        Pipeline.process t p pc eff taken next_pc
       in
       ignore (Elag_sim.Emulator.run_program ~observer ?max_insns program);
       let s = Pipeline.stats t in
@@ -266,7 +266,7 @@ let test_derived_load_counters () =
 
 (* --- specifier insensitivity ------------------------------------------------ *)
 
-(* [select_path] is the only reader of a decoded load's specifier, and
+(* [select_path] is the only reader of a load's static specifier, and
    only under filtered [Table_only] and compiler-directed [Dual]; the
    [stats] split into [loads_n/p/e] is the only reader of a site's.  So
    under every other mechanism, rewriting every load to one specifier

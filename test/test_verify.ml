@@ -217,9 +217,9 @@ let test_oracle_allocation_free () =
   let oracle = Oracle.create p in
   let pipe = Pipeline.create cfg in
   let pipe_obs = Pipeline.observer pipe and oracle_obs = Oracle.observer oracle in
-  let observer pc insn eff taken next_pc =
-    pipe_obs pc insn eff taken next_pc;
-    oracle_obs pc insn eff taken next_pc
+  let observer p pc eff taken next_pc =
+    pipe_obs p pc eff taken next_pc;
+    oracle_obs p pc eff taken next_pc
   in
   let subject = Emulator.create p in
   let run_to n = try Emulator.run ~observer ~max_insns:n subject with Emulator.Runaway _ -> () in
