@@ -27,7 +27,8 @@
    preset under the oracle, with seeded fault plans layered on) on the
    worker pool and prints a deterministic JSON summary — byte-
    identical at every -j.  Every run is bounded by its program's
-   instruction budget.  Fuzz flags:
+   instruction budget.  Fuzz flags (every other artifact rejects
+   them):
 
      --seed S        master campaign seed (default 0)
      --iters N       iteration count (default 100)
@@ -104,7 +105,8 @@ let () =
   let seed = ref 0
   and iters = ref 100
   and corpus_dir = ref None
-  and mutation = ref None in
+  and mutation = ref None
+  and fuzz_flag = ref false in
   let int_arg n = match int_of_string_opt n with
     | Some n when n >= 0 -> n
     | _ -> usage ()
@@ -114,10 +116,10 @@ let () =
     | "-j" :: n :: rest ->
       (jobs := match int_of_string_opt n with Some n when n > 0 -> n | _ -> usage ());
       parse rest
-    | "--seed" :: n :: rest -> seed := int_arg n; parse rest
-    | "--iters" :: n :: rest -> iters := int_arg n; parse rest
-    | "--corpus" :: dir :: rest -> corpus_dir := Some dir; parse rest
-    | "--mutation" :: name :: rest -> mutation := Some name; parse rest
+    | "--seed" :: n :: rest -> seed := int_arg n; fuzz_flag := true; parse rest
+    | "--iters" :: n :: rest -> iters := int_arg n; fuzz_flag := true; parse rest
+    | "--corpus" :: dir :: rest -> corpus_dir := Some dir; fuzz_flag := true; parse rest
+    | "--mutation" :: name :: rest -> mutation := Some name; fuzz_flag := true; parse rest
     | [ ("-j" | "--seed" | "--iters" | "--corpus" | "--mutation") ] -> usage ()
     | arg :: _ when String.length arg > 2 && String.sub arg 0 2 = "--" ->
       usage ()
@@ -126,6 +128,7 @@ let () =
       parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
+  if !fuzz_flag && !artifact <> "fuzz" then usage ();
   if !artifact = "fuzz" then
     fuzz_campaign ~jobs:!jobs ~seed:!seed ~iters:!iters ~corpus_dir:!corpus_dir
       ~mutation:!mutation

@@ -12,7 +12,7 @@
 
    Multi-workload modes fan out over -j N worker domains (default:
    Domain.recommended_domain_count); output order is always the suite
-   order, independent of -j.
+   order, independent of -j.  The single-workload modes reject -j.
 
    Telemetry flags (timed runs only):
 
@@ -42,7 +42,8 @@
                          architectural invariants (targets: see usage
                          text; optional :N parameter, e.g.
                          table-scramble:17); exit 1 on violation
-     --seed N            seed for --fault plans (default 0)
+     --seed N            seed for --fault plans (default 0); rejected
+                         without --fault
 
    Timed runs lint the compiled program first (wild control targets,
    illegal registers, ld_e binding rules, data bounds) and exit 2 with
@@ -87,14 +88,9 @@ let find_workload name =
     usage ()
 
 let emulate_one ~max_insns (w : Workload.t) =
-  let t0 = Unix.gettimeofday () in
-  let program = Compile.compile w.Workload.source in
-  let t1 = Unix.gettimeofday () in
-  let emu = Emulator.create program in
+  let emu = Emulator.create (Compile.compile w.Workload.source) in
   Emulator.run ?max_insns emu;
-  let t2 = Unix.gettimeofday () in
-  Printf.sprintf "%-16s  insns=%9d  compile=%.2fs run=%.2fs  output=%s"
-    w.Workload.name (Emulator.retired emu) (t1 -. t0) (t2 -. t1)
+  Printf.sprintf "%-16s  insns=%9d  output=%s" w.Workload.name (Emulator.retired emu)
     (String.concat "," (String.split_on_char '\n' (String.trim (Emulator.output emu))))
 
 (* Emulate every workload on the pool; lines print in suite order once
@@ -234,11 +230,11 @@ let () =
   let report = ref None
   and trace_file = ref None
   and max_insns = ref None
-  and jobs = ref (Pool.default_jobs ())
+  and jobs = ref None
   and all = ref false
   and oracle = ref false
   and fault = ref None
-  and seed = ref 0
+  and seed = ref None
   and positional = ref [] in
   let rec parse = function
     | [] -> ()
@@ -257,7 +253,7 @@ let () =
          match int_of_string_opt n with Some n when n > 0 -> Some n | _ -> usage ());
       parse rest
     | "-j" :: n :: rest ->
-      (jobs := match int_of_string_opt n with Some n when n > 0 -> n | _ -> usage ());
+      (jobs := match int_of_string_opt n with Some n when n > 0 -> Some n | _ -> usage ());
       parse rest
     | "--all" :: rest ->
       all := true;
@@ -274,7 +270,7 @@ let () =
            usage ());
       parse rest
     | "--seed" :: n :: rest ->
-      (seed := match int_of_string_opt n with Some n when n >= 0 -> n | _ -> usage ());
+      (seed := match int_of_string_opt n with Some n when n >= 0 -> Some n | _ -> usage ());
       parse rest
     | ("--report" | "--trace" | "--max-insns" | "-j" | "--fault" | "--seed") :: [] -> usage ()
     | arg :: _ when String.length arg > 2 && String.sub arg 0 2 = "--" -> usage ()
@@ -284,18 +280,23 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let max_insns = !max_insns in
+  (* -j only fans out the multi-workload modes; --seed only seeds --fault *)
+  if (!jobs <> None && not (!all || !positional = []))
+     || (!seed <> None && !fault = None)
+  then usage ();
+  let jobs = Option.value !jobs ~default:(Pool.default_jobs ()) in
   match (!all, !oracle, !fault, List.rev !positional, !report, !trace_file) with
-  | true, false, None, [], None, None -> emulate_all ~jobs:!jobs ~max_insns
+  | true, false, None, [], None, None -> emulate_all ~jobs ~max_insns
   | true, false, None, [ mech ], None, None when max_insns = None ->
-    time_all ~jobs:!jobs (mechanism_of_string mech)
-  | false, false, None, [], None, None -> emulate_all ~jobs:!jobs ~max_insns
+    time_all ~jobs (mechanism_of_string mech)
+  | false, false, None, [], None, None -> emulate_all ~jobs ~max_insns
   | false, false, None, [ name ], None, None ->
     emulate_one ~max_insns (find_workload name) |> print_endline
   | false, true, None, [ name; mech ], None, None ->
     oracle_one (find_workload name) (mechanism_of_string mech) ~max_insns
   | false, false, Some target, [ name; mech ], None, None ->
-    fault_one (find_workload name) (mechanism_of_string mech) target ~seed:!seed
-      ~max_insns
+    fault_one (find_workload name) (mechanism_of_string mech) target
+      ~seed:(Option.value !seed ~default:0) ~max_insns
   | false, false, None, [ name; mech ], report, trace_file ->
     time_one (find_workload name) (mechanism_of_string mech) ~report ~trace_file
       ~max_insns

@@ -87,8 +87,6 @@ let def_vreg st scratch v =
   | Regalloc.In_reg r -> (r, fun () -> ())
   | Regalloc.Spilled s -> (scratch, fun () -> emit st (word_store scratch (spill_addr st s)))
 
-let alu_op_of_binop = Ir.alu_of_binop
-
 let resolve_addr st scratch1 scratch2 = function
   | Ir.Base (v, d) -> Insn.Base_offset (use_vreg st scratch1 v, d)
   | Ir.Base_index (b, i) ->
@@ -120,7 +118,7 @@ let emit_inst st inst =
     let ra_ = use_operand st Reg.scratch0 a in
     let rb = alu_operand st Reg.scratch1 b in
     let rd, writeback = def_vreg st Reg.scratch0 d in
-    emit st (Insn.Alu { op = alu_op_of_binop op; dst = rd; src1 = ra_; src2 = rb });
+    emit st (Insn.Alu { op = Ir.alu_of_binop op; dst = rd; src1 = ra_; src2 = rb });
     writeback ()
   | Ir.Mov (d, src) -> begin
     match st.ra.Regalloc.location d with

@@ -2,10 +2,8 @@
 
     Concurrent lookups of different keys proceed in parallel;
     concurrent lookups of the same key serialize on a per-key lock so
-    the compute function runs at most once per key.  This is the
-    engine's replacement for the old process-global [Context]
-    hashtable: every cache hangs off an explicit handle, and all
-    mutation is lock-protected. *)
+    the compute function runs at most once per key.  Every cache hangs
+    off an explicit handle, and all mutation is lock-protected. *)
 
 type ('k, 'v) t
 

@@ -11,19 +11,17 @@ type variant = Classified | Reclassified
 
 type t =
   { jobs : int
-  ; programs : (string, Program.t) Cache.t        (* workload name *)
-  ; profiles : (string, Profile.t) Cache.t
-  ; reclassifieds : (string, Program.t) Cache.t
+  ; programs : (string, Program.t) Cache.t        (* workload + variant *)
+  ; profiles : (string, Profile.t) Cache.t        (* workload name *)
   ; sims : (string, Pipeline.stats) Cache.t }     (* workload + variant + config *)
 
 let create ?jobs () =
   { jobs = (match jobs with Some j -> max 1 j | None -> Pool.default_jobs ())
   ; programs = Cache.create ()
   ; profiles = Cache.create ()
-  ; reclassifieds = Cache.create ()
   ; sims = Cache.create ~size:256 () }
 
-let jobs t = t.jobs
+let variant_suffix = function Classified -> "" | Reclassified -> "+prof"
 
 (* Every artifact the engine hands out has passed the static lint:
    a malformed compilation result is rejected here, before it can burn
@@ -32,23 +30,17 @@ let lint_checked program =
   Elag_verify.Lint.enforce program;
   program
 
-let program t (w : Workload.t) =
-  Cache.find_or_compute t.programs w.Workload.name (fun () ->
-      lint_checked (Compile.compile w.Workload.source))
+let rec program ?(variant = Classified) t (w : Workload.t) =
+  Cache.find_or_compute t.programs (w.Workload.name ^ variant_suffix variant)
+    (fun () ->
+      lint_checked
+        (match variant with
+        | Classified -> Compile.compile w.Workload.source
+        | Reclassified -> Profile.reclassify (profile t w) (program t w)))
 
-let profile t (w : Workload.t) =
+and profile t (w : Workload.t) =
   Cache.find_or_compute t.profiles w.Workload.name (fun () ->
       Profile.collect (program t w))
-
-let reclassified t (w : Workload.t) =
-  Cache.find_or_compute t.reclassifieds w.Workload.name (fun () ->
-      lint_checked (Profile.reclassify (profile t w) (program t w)))
-
-let program_of t w = function
-  | Classified -> program t w
-  | Reclassified -> reclassified t w
-
-let variant_suffix = function Classified -> "" | Reclassified -> "+prof"
 
 let simulate ?(variant = Classified) ?config t (w : Workload.t) mechanism =
   let cfg =
@@ -60,7 +52,7 @@ let simulate ?(variant = Classified) ?config t (w : Workload.t) mechanism =
     w.Workload.name ^ variant_suffix variant ^ "|" ^ Json.to_string (Config.to_json cfg)
   in
   Cache.find_or_compute t.sims key (fun () ->
-      let stats, output = Pipeline.simulate cfg (program_of t w variant) in
+      let stats, output = Pipeline.simulate cfg (program ~variant t w) in
       (match w.Workload.expected_output with
       | Some expected when String.trim output <> String.trim expected ->
         failwith
@@ -88,7 +80,7 @@ type distribution =
    are the profiled program's. *)
 let distribution ?(variant = Classified) t w =
   let prof = profile t w in
-  let prog = program_of t w variant in
+  let prog = program ~variant t w in
   let loads = List.init (Program.load_count prog) Fun.id in
   let of_spec spec = List.filter (fun k -> Program.load_spec prog k = spec) loads in
   let nt = of_spec Insn.Ld_n and pd = of_spec Insn.Ld_p and ec = of_spec Insn.Ld_e in

@@ -1,13 +1,11 @@
 (** Parallel experiment engine.
 
     An engine is an explicit handle bundling a worker-pool width with
-    domain-safe caches of per-workload artifacts: the compiled
-    program, the address profile, the profile-reclassified program,
-    and per-(configuration, variant) timing results.  It replaces the
-    old process-global [Context] hashtable — every consumer receives
-    an engine and asks it for artifacts, so two engines never share
-    (or corrupt) state, and a single engine may be driven from many
-    domains at once.
+    domain-safe caches of per-workload artifacts: the program of each
+    variant, the address profile, and per-(configuration, variant)
+    timing results.  Every consumer receives an engine and asks it for
+    artifacts, so two engines never share (or corrupt) state, and a
+    single engine may be driven from many domains at once.
 
     Determinism: compilation, profiling and simulation are pure
     functions of (workload source, configuration), jobs are merged in
@@ -26,19 +24,15 @@ val create : ?jobs:int -> unit -> t
 (** [create ()] sizes the pool with [Pool.default_jobs ()].  The
     machine model is [Config.default] unless a call passes [?config]. *)
 
-val jobs : t -> int
-
 (** Which classification of the program a result is measured on. *)
 type variant = Classified | Reclassified
 
-val program : t -> Workload.t -> Elag_isa.Program.t
-(** Compiled with the Section 4 heuristics; cached per workload. *)
+val program : ?variant:variant -> t -> Workload.t -> Elag_isa.Program.t
+(** Compiled with the Section 4 heuristics ([Classified], the default),
+    or that program reclassified by its address profile
+    ([Reclassified]); lint-checked and cached per (workload, variant). *)
 
 val profile : t -> Workload.t -> Profile.t
-
-val reclassified : t -> Workload.t -> Elag_isa.Program.t
-
-val program_of : t -> Workload.t -> variant -> Elag_isa.Program.t
 
 val simulate :
   ?variant:variant -> ?config:Config.t -> t -> Workload.t ->

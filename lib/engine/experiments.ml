@@ -16,14 +16,10 @@ module Stall = Elag_telemetry.Stall
 
 let pf = Printf.printf
 
+(* Arithmetic mean; an empty list is a bug, not a silent zero. *)
 let mean = function
-  | [] -> None
-  | xs -> Some (List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs))
-
-let mean_exn xs =
-  match mean xs with
-  | Some m -> m
-  | None -> invalid_arg "Experiments.mean: empty list"
+  | [] -> invalid_arg "Experiments.mean: empty list"
+  | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
 
 let opt_f = function Some v -> Printf.sprintf "%6.2f" v | None -> "     -"
 
@@ -84,7 +80,7 @@ let print_table2 engine =
         (opt_f d.Engine.rate_nt) (paper1 (fun p -> p.Paper_data.t2_rate_nt))
         (opt_f d.Engine.rate_pd) (paper1 (fun p -> p.Paper_data.t2_rate_pd)))
     rows;
-  let avg f = mean_exn (List.map f rows) in
+  let avg f = mean (List.map f rows) in
   pf "%-14s %6.1f | %4.0f/%4.0f/%4.0f                | %4.0f/%4.0f/%4.0f\n" "average"
     (avg (fun r -> r.loads_m))
     (avg (fun r -> r.dist.Engine.static_nt))
@@ -122,7 +118,7 @@ let print_fig5a engine =
       pf "%-14s | %-26s | %-26s\n" name (s hw) (s cc))
     rows;
   let avg sel i =
-    mean_exn (List.map (fun (_, hw, cc) -> List.nth (sel (hw, cc)) i) rows)
+    mean (List.map (fun (_, hw, cc) -> List.nth (sel (hw, cc)) i) rows)
   in
   pf "%-14s | %.2f/%.2f/%.2f             | %.2f/%.2f/%.2f\n" "average"
     (avg fst 0) (avg fst 1) (avg fst 2) (avg snd 0) (avg snd 1) (avg snd 2)
@@ -148,7 +144,7 @@ let print_fig5b engine =
       pf "%-14s | %s\n" name
         (String.concat "/" (List.map (Printf.sprintf "%.2f") l)))
     rows;
-  let avg i = mean_exn (List.map (fun (_, l) -> List.nth l i) rows) in
+  let avg i = mean (List.map (fun (_, l) -> List.nth l i) rows) in
   pf "%-14s | %.2f/%.2f/%.2f\n" "average" (avg 0) (avg 1) (avg 2)
 
 (* --- Figure 5c: best hardware-only vs dual-path ------------------------ *)
@@ -187,11 +183,11 @@ let print_fig5c engine =
         r.calc16 r.dual_hw r.dual_cc r.dual_cc_prof)
     rows;
   pf "%-14s | %-9.2f %-8.2f %-8.2f %-8.2f %-9.2f\n" "average"
-    (mean_exn (List.map (fun r -> r.table256) rows))
-    (mean_exn (List.map (fun r -> r.calc16) rows))
-    (mean_exn (List.map (fun r -> r.dual_hw) rows))
-    (mean_exn (List.map (fun r -> r.dual_cc) rows))
-    (mean_exn (List.map (fun r -> r.dual_cc_prof) rows));
+    (mean (List.map (fun r -> r.table256) rows))
+    (mean (List.map (fun r -> r.calc16) rows))
+    (mean (List.map (fun r -> r.dual_hw) rows))
+    (mean (List.map (fun r -> r.dual_cc) rows))
+    (mean (List.map (fun r -> r.dual_cc_prof) rows));
   pf "paper averages: dual-hw %.2f, dual-cc %.2f, dual-cc+profile %.2f\n"
     Paper_data.fig5c_avg_dual_hw Paper_data.fig5c_avg_dual_cc
     Paper_data.fig5c_avg_dual_cc_profiled
@@ -229,7 +225,7 @@ let print_table3 engine =
         (opt_f d.Engine.rate_pd) (pp1 (fun p -> p.Paper_data.t3_rate_pd)))
     rows;
   pf "%-14s | %5.2f (paper 1.38)\n" "average"
-    (mean_exn (List.map (fun r -> r.t3_speedup) rows))
+    (mean (List.map (fun r -> r.t3_speedup) rows))
 
 (* --- Table 4: MediaBench ------------------------------------------------ *)
 
@@ -269,7 +265,7 @@ let print_table4 engine =
     rows;
   pf "%-14s        |                      |                      |        |        | %5.2f (paper 1.19)\n"
     "average"
-    (mean_exn (List.map (fun r -> r.t4_speedup) rows))
+    (mean (List.map (fun r -> r.t4_speedup) rows))
 
 let run_all engine =
   (* One flat parallel sweep over the whole grid: finer-grained jobs

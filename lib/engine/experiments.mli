@@ -5,19 +5,6 @@
     worker pool; rows are merged in suite order, so output is identical
     at every [-j] setting. *)
 
-val mean : float list -> float option
-(** Arithmetic mean; [None] on the empty list (no silent zeros). *)
-
-val mean_exn : float list -> float
-(** @raise Invalid_argument on the empty list. *)
-
-val grid : unit -> Engine.Job.t list
-(** The full evaluation grid — every job the paper's tables and
-    figures consume: SPEC workloads crossed with
-    {!Elag_sim.Config.Mechanism.all} plus the profile-reclassified
-    dual-path point of Table 3, and MediaBench workloads under
-    baseline and dual-cc.  This is the sweep behind {!run_all}. *)
-
 val print_table2 : Engine.t -> unit
 val print_fig5a : Engine.t -> unit
 val print_fig5b : Engine.t -> unit
@@ -26,8 +13,11 @@ val print_table3 : Engine.t -> unit
 val print_table4 : Engine.t -> unit
 
 val run_all : Engine.t -> unit
-(** Pre-warms the engine's caches with {!grid} (one parallel sweep over
-    every job), then prints every artifact. *)
+(** Pre-warms the engine's caches with the full evaluation grid — every
+    job the paper's tables and figures consume: SPEC workloads crossed
+    with {!Elag_sim.Config.Mechanism.all} plus the profile-reclassified
+    dual-path point of Table 3, and MediaBench workloads under baseline
+    and dual-cc — in one parallel sweep, then prints every artifact. *)
 
 val print_ablation : Engine.t -> unit
 (** Dual-path compiler-directed speedup on 130.li, 072.sc and

@@ -103,11 +103,9 @@ let run_lint_suite engine =
       (w.Workload.name, Lint.check (Engine.program engine w)))
     Suite.all
 
-let run_oracle_suite
-    ?(mechanism = Config.Dual { table_entries = 256; selection = Config.Compiler_directed })
-    ?(workloads = Suite.all) engine =
-  let cfg = Config.with_mechanism mechanism Config.default in
+let run_oracle_suite engine =
+  let cfg = config_of "dual-cc" in
   Engine.map engine
     (fun (w : Workload.t) ->
       (w.Workload.name, Oracle.run cfg (Engine.program engine w)))
-    workloads
+    Suite.all

@@ -21,28 +21,21 @@ type entry =
   ; mechanism : string  (** mechanism preset name *)
   ; plan : Fault.plan }
 
-val fault_matrix : entry list
-(** The shipped suite: >= 20 seeded plans over three workloads,
-    covering every fault target. *)
-
 val fault_smoke : entry list
-(** One plan per fault-target class on the cheapest workload — the CI
-    smoke subset. *)
+(** The matrix's plans on its cheapest workload, one per fault-target
+    class — the CI smoke subset. *)
 
 val run_fault_suite :
   ?entries:entry list -> Engine.t -> (entry * Fault.outcome) list
-(** Run the plans (default {!fault_matrix}), sharing one fault-free
-    baseline per (workload, mechanism) pair; results in matrix
-    order. *)
+(** Run the plans (default: the shipped matrix, 22 seeded plans over
+    three workloads covering every fault target), sharing one
+    fault-free baseline per (workload, mechanism) pair; results in
+    matrix order. *)
 
 val run_lint_suite : Engine.t -> (string * Lint.report) list
 (** Lint the compiled (and engine-cached) program of every suite
     workload. *)
 
-val run_oracle_suite :
-  ?mechanism:Elag_sim.Config.mechanism ->
-  ?workloads:Elag_workloads.Workload.t list ->
-  Engine.t ->
-  (string * Oracle.report) list
-(** Differential-oracle the full timed simulation of every workload
-    (default: the whole suite under [dual-cc]). *)
+val run_oracle_suite : Engine.t -> (string * Oracle.report) list
+(** Differential-oracle the full timed simulation of every suite
+    workload under [dual-cc]. *)

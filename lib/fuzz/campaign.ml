@@ -215,7 +215,7 @@ let run_iteration config (iter, seed) =
         (fun k mechanism ->
           if not !stop then begin
             let cfg = Config.with_mechanism mechanism Config.default in
-            let mech_name = Config.Mechanism.to_string mechanism in
+            let mech_name = Config.mechanism_name mechanism in
             incr oracle_runs;
             if k > 0 then
               match time cfg with exception e -> crash mech_name e | () -> ()
@@ -340,8 +340,7 @@ let run ?(jobs = 1) config =
   ; failures
   ; saved }
 
-(* The summary's counters, in their published order.  [histograms] is
-   kept, always empty, so the summary's shape is unchanged. *)
+(* The summary's counters, in their published order. *)
 let metrics_json summary =
   let count kind =
     List.length (List.filter (fun f -> f.f_kind = kind) summary.findings)
@@ -358,8 +357,7 @@ let metrics_json summary =
     ; ("job_failures", List.length summary.failures) ]
   in
   Json.Obj
-    [ ("counters", Json.Obj (List.map (fun (name, n) -> (name, Json.Int n)) counters))
-    ; ("histograms", Json.Obj []) ]
+    [ ("counters", Json.Obj (List.map (fun (name, n) -> (name, Json.Int n)) counters)) ]
 
 let finding_to_json f =
   Json.Obj
@@ -383,7 +381,7 @@ let summary_json summary =
           ; ( "mechanisms"
             , Json.List
                 (List.map
-                   (fun m -> Json.String (Config.Mechanism.to_string m))
+                   (fun m -> Json.String (Config.mechanism_name m))
                    c.mechanisms) )
           ; ("gen_params", Gen.params_to_json c.gen_params)
           ; ("minic_every", Json.Int c.minic_every)

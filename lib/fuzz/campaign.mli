@@ -37,8 +37,6 @@ val default : config
 
 type kind = Divergence | Fault_violation | Lint_reject | Crash
 
-val kind_to_string : kind -> string
-
 type finding =
   { f_iter : int
   ; f_seed : int

@@ -146,7 +146,7 @@ let entries_dir dir =
 
 (* The corpus lives at the repo root; tests run from _build/default/test,
    so walk up from the cwd looking for fuzz/corpus. *)
-let locate ?(from = Sys.getcwd ()) () =
+let locate () =
   let rec go dir depth =
     if depth > 8 then None
     else
@@ -157,7 +157,7 @@ let locate ?(from = Sys.getcwd ()) () =
         let parent = Filename.dirname dir in
         if parent = dir then None else go parent (depth + 1)
   in
-  go from 0
+  go (Sys.getcwd ()) 0
 
 (* --- replay ------------------------------------------------------------- *)
 

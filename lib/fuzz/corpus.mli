@@ -25,8 +25,6 @@ val fingerprint : listing:string -> mechanism:string -> detail:string -> string
 (** Content hash of the repro identity — two seeds shrinking to the
     same minimal program dedupe to one corpus file. *)
 
-val to_json : entry -> Elag_telemetry.Json.t
-
 val save : dir:string -> entry -> string
 (** Write both files (creating [dir] as needed); returns the metadata
     path. *)
@@ -35,13 +33,9 @@ val load_file : string -> (entry, string) result
 (** Load from a [.json] path; the sibling [.epa] listing is attached
     when present. *)
 
-val entries_dir : string -> string list
-(** Metadata paths under a corpus directory, sorted ([] when the
-    directory does not exist). *)
-
-val locate : ?from:string -> unit -> string option
-(** Walk up from [from] (default cwd) looking for [fuzz/corpus] — dune
-    runs tests from [_build/default/test]. *)
+val locate : unit -> string option
+(** Walk up from the cwd looking for [fuzz/corpus] — dune runs tests
+    from [_build/default/test]. *)
 
 val replay : entry -> (string, string) result
 (** Regenerate from seed, re-run under the entry's mechanism (and

@@ -29,7 +29,6 @@ type params =
   ; max_trip : int  (** max loop trip count *)
   ; weights : weights }
 
-val default_weights : weights
 val default_params : params
 
 type t =

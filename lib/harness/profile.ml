@@ -33,11 +33,12 @@ let by_pc f default t pc =
 let rate = by_pc Ideal.rate None
 let executions = by_pc Ideal.executions 0
 
-let default_threshold = 0.60
+(* The paper's reclassification threshold. *)
+let threshold = 0.60
 
 (* Profile-guided reclassification: ld_n loads with a prediction rate
    above [threshold] become ld_p.  Nothing else is overruled. *)
-let reclassify ?(threshold = default_threshold) t program =
+let reclassify t program =
   Program.map_insns
     (fun pc insn ->
       match insn with

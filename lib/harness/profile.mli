@@ -21,9 +21,7 @@ val rate : t -> int -> float option
 val executions : t -> int -> int
 (** Dynamic executions of the load at this pc; 0 if never executed. *)
 
-val default_threshold : float
-(** 0.60, the paper's value. *)
-
-val reclassify : ?threshold:float -> t -> Elag_isa.Program.t -> Elag_isa.Program.t
-(** Returns a fresh program with qualifying [ld_n] loads turned into
-    [ld_p]; the input program is unchanged. *)
+val reclassify : t -> Elag_isa.Program.t -> Elag_isa.Program.t
+(** Returns a fresh program in which every [ld_n] load whose rate
+    exceeds 0.60 (the paper's threshold) is turned into [ld_p]; the
+    input program is unchanged. *)

@@ -11,8 +11,6 @@ module Insn = Elag_isa.Insn
 type vreg = int
 (** Virtual register index, unbounded per function. *)
 
-val pp_vreg : vreg Fmt.t
-
 type operand = Reg of vreg | Imm of int
 
 (** Arithmetic/logic operations; mirrors {!Elag_isa.Insn.alu_op}
@@ -91,7 +89,6 @@ val entry_block : func -> block
 val find_block : func -> string -> block
 (** Block by label; raises [Invalid_argument] if absent. *)
 
-val operand_vregs : operand -> vreg list
 val address_vregs : address -> vreg list
 
 val inst_uses : inst -> vreg list
@@ -128,11 +125,5 @@ val map_term_labels : (string -> string) -> terminator -> terminator
 val has_side_effect : inst -> bool
 (** Stores and calls; everything else is pure and removable when dead. *)
 
-val pp_operand : operand Fmt.t
-val binop_name : binop -> string
-val pp_address : address Fmt.t
-val pp_inst : inst Fmt.t
-val pp_term : terminator Fmt.t
-val pp_block : block Fmt.t
 val pp_func : func Fmt.t
 val pp_program : program Fmt.t

@@ -14,8 +14,6 @@ exception Error of { ctx : string; msg : string }
     [Invalid_argument] escapes; {!Elag_harness.Compile} re-surfaces it
     as a compile error. *)
 
-val lower_func : Elag_minic.Structs.t -> Elag_minic.Typed.func -> Ir.func
-
 val lower_program : Elag_minic.Typed.program -> Ir.program
 (** Lower every function and turn globals, string literals and their
     initializers into {!Ir.data} entries. *)

@@ -2,12 +2,8 @@
     folder.  Values are OCaml ints normalized to the signed 32-bit
     range; division by zero yields 0. *)
 
-val mask32 : int
-
 val norm : int -> int
 (** Normalize to the signed 32-bit range. *)
-
-val to_unsigned : int -> int
 
 val eval : Insn.alu_op -> int -> int -> int
 

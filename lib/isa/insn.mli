@@ -69,8 +69,6 @@ val with_load_spec : load_spec -> t -> t
 (** Replace a load's specifier; identity on non-loads. *)
 
 val pp_load_spec : load_spec Fmt.t
-val pp_alu_op : alu_op Fmt.t
-val pp_operand : operand Fmt.t
 val pp_cond : cond Fmt.t
 val pp_addr_mode : addr_mode Fmt.t
 val pp : t Fmt.t

@@ -45,8 +45,6 @@ let address t label =
   | Some { address; _ } -> address
   | None -> invalid_arg (Printf.sprintf "Layout.address: unknown label %s" label)
 
-let mem t label = Hashtbl.mem t.symbols label
-
 let heap_base t = align_up t.next 16
 
 let bytes_of_init = function

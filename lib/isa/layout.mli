@@ -25,8 +25,6 @@ val add : t -> label:string -> align:int -> init:init -> int
 val address : t -> string -> int
 (** Address previously assigned to [label]; raises on unknown labels. *)
 
-val mem : t -> string -> bool
-
 val heap_base : t -> int
 (** First 16-byte-aligned byte after all static data. *)
 

@@ -77,7 +77,7 @@ let make code ~targets ~symbols ~entry ~data_image ~heap_base =
   ; data_image
   ; heap_base }
 
-let assemble ?(entry = "_start") ~layout items =
+let assemble ~layout items =
   (* [~random:false] here and in [labels_at]: the order of labels
      sharing an index in a listing follows these tables *)
   let symbols = Hashtbl.create ~random:false 256 in
@@ -116,7 +116,7 @@ let assemble ?(entry = "_start") ~layout items =
         match target_label insn with Some l -> resolve l | None -> -1)
       code
   in
-  make code ~targets ~symbols ~entry:(resolve entry) ~data_image:(Layout.image layout)
+  make code ~targets ~symbols ~entry:(resolve "_start") ~data_image:(Layout.image layout)
     ~heap_base:(Layout.heap_base layout)
 
 let length t = Array.length t.code
@@ -140,11 +140,6 @@ let entry t = t.entry
 let data_image t = t.data_image
 
 let heap_base t = t.heap_base
-
-let symbol t label =
-  match Hashtbl.find_opt t.symbols label with
-  | Some idx -> idx
-  | None -> raise (Unknown_label label)
 
 (* Reverse map from instruction index to the labels placed on it, for
    disassembly listings. *)

@@ -12,10 +12,10 @@ type t
 
 exception Unknown_label of string
 
-val assemble : ?entry:string -> layout:Layout.t -> item list -> t
-(** Resolve labels and build the program.  [entry] defaults to
-    ["_start"].  Raises {!Unknown_label} for unresolved control-transfer
-    targets and [Invalid_argument] for duplicate labels. *)
+val assemble : layout:Layout.t -> item list -> t
+(** Resolve labels and build the program, entered at ["_start"].
+    Raises {!Unknown_label} for unresolved control-transfer targets and
+    [Invalid_argument] for duplicate labels. *)
 
 val length : t -> int
 (** Number of instructions. *)
@@ -29,9 +29,6 @@ val target : t -> int -> int
 
 val entry : t -> int
 (** Entry-point instruction index. *)
-
-val symbol : t -> string -> int
-(** Instruction index of a code label. *)
 
 val data_image : t -> (int * string) list
 

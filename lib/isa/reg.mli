@@ -18,9 +18,6 @@ val ra : t
 val sp : t
 (** Stack pointer. *)
 
-val fp : t
-(** Frame pointer. *)
-
 val rv : t
 (** Return-value register. *)
 

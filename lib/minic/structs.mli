@@ -3,11 +3,6 @@
 
 type field = { field_ty : Ast.ty; offset : int }
 
-type info =
-  { size : int
-  ; align : int
-  ; by_name : (string * field) list }
-
 type t
 
 exception Unknown_struct of string
@@ -18,8 +13,6 @@ val create : unit -> t
 val define : t -> Ast.struct_def -> unit
 (** Structs must be defined before use inside other structs.  Raises
     [Invalid_argument] on duplicates. *)
-
-val info : t -> string -> info
 
 val size_of : t -> Ast.ty -> int
 val align_of : t -> Ast.ty -> int

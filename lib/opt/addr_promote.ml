@@ -27,17 +27,13 @@ module Cfg = Elag_ir.Cfg
 module Dominators = Elag_ir.Dominators
 module Loops = Elag_ir.Loops
 
-(* Basic induction variables, reusing the detector from
-   {!Strength_reduce}. *)
-let find_ivs = Strength_reduce.find_basic_ivs
-
 let run_loop (f : Ir.func) (loop : Loops.loop) =
   let cfg = Cfg.of_func f in
   match Loops.rebase cfg loop with
   | None -> false
   | Some loop ->
     let dom = Dominators.compute cfg in
-    let ivs = find_ivs dom loop in
+    let ivs = Strength_reduce.find_basic_ivs dom loop in
     let defs_in_loop = Licm.loop_def_counts loop in
     let invariant v = not (Hashtbl.mem defs_in_loop v) in
     let iv_of x =

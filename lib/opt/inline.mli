@@ -6,6 +6,4 @@
 val default_threshold : int
 (** Maximum callee size (instructions + blocks) to inline. *)
 
-val func_size : Elag_ir.Ir.func -> int
-
 val run : ?threshold:int -> Elag_ir.Ir.program -> bool

@@ -9,8 +9,6 @@ type summary =
   ; returns_loaded : bool
     (** the return value may derive from a load *) }
 
-val conservative : summary
-
 type t
 
 val analyze : Elag_ir.Ir.program -> t

@@ -74,10 +74,7 @@ let slot_valid t i =
   if i < 0 || i >= size t then invalid_arg "Btb.slot_valid";
   t.tags.(i) >= 0
 
-let corrupt t ~slot:i ?target ?counter ?tag () =
+let corrupt t ~slot:i ?target ?tag () =
   if i < 0 || i >= size t then invalid_arg "Btb.corrupt";
   (match target with Some v -> t.targets.(i) <- v | None -> ());
-  (match counter with
-   | Some v -> t.counters.(i) <- (if v <= 0 then 0 else if v >= 3 then 3 else v)
-   | None -> ());
   (match tag with Some v -> t.tags.(i) <- v | None -> ())

@@ -30,8 +30,8 @@ val size : t -> int
 val slot_valid : t -> int -> bool
 (** Whether a slot currently holds an allocated entry. *)
 
-val corrupt : t -> slot:int -> ?target:int -> ?counter:int -> ?tag:int -> unit -> unit
-(** Overwrite the given fields of a slot (counter clamped to 0..3).
-    Corrupting only [target] is the provably-adversarial fault: it can
-    turn correct taken-predictions wrong but never the reverse.
-    Raises [Invalid_argument] out of range. *)
+val corrupt : t -> slot:int -> ?target:int -> ?tag:int -> unit -> unit
+(** Overwrite the given fields of a slot.  Corrupting only [target] is
+    the provably-adversarial fault: it can turn correct taken-predictions
+    wrong but never the reverse.  Raises [Invalid_argument] out of
+    range. *)

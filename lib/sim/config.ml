@@ -72,15 +72,11 @@ let mechanism_name = function
     Printf.sprintf "dual-%d-%s" table_entries
       (match selection with Hardware_selected -> "hw" | Compiler_directed -> "cc")
 
-(* Single source of truth for mechanism naming: [to_string] produces
-   canonical names, [of_string] parses them back (plus the short CLI
-   aliases "table-N", "dual-hw" and "dual-cc"), and [all] is the
-   paper's evaluation grid (Figures 5a-c). *)
+(* Single source of truth for mechanism naming: [mechanism_name]
+   produces canonical names, [of_string] parses them back (plus the
+   short CLI aliases "table-N", "dual-hw" and "dual-cc"), and [all] is
+   the paper's evaluation grid (Figures 5a-c). *)
 module Mechanism = struct
-  type t = mechanism
-
-  let to_string = mechanism_name
-
   let all =
     No_early
     :: List.concat_map
@@ -119,7 +115,7 @@ module Mechanism = struct
     | None ->
       invalid_arg
         (Printf.sprintf "unknown mechanism %S (known: %s; also table-N, calc-N, dual-N-hw, dual-N-cc)"
-           s (String.concat " " (List.map to_string all)))
+           s (String.concat " " (List.map mechanism_name all)))
 end
 
 (* Provenance block embedded in every emitted report: the exact

@@ -34,8 +34,6 @@ let create ?(size = default_size) () =
   reset t;
   t
 
-let size t = t.size
-
 let check t addr n = if addr < 0 || addr + n > t.size then raise (Fault addr)
 
 (* The page holding [addr], given its own bytes on first write. *)

@@ -18,8 +18,6 @@ val reset : t -> unit
 (** Zero every byte, keeping the pages written so far: later writes to
     them allocate nothing. *)
 
-val size : t -> int
-
 val read_byte_u : t -> int -> int
 val read_byte_s : t -> int -> int
 val read_half_u : t -> int -> int

@@ -63,28 +63,11 @@ let merge_into ~into t =
 
 let count t = t.total
 let sum t = t.sum
-let max_seen t = if t.total = 0 then None else Some t.max_seen
 
 let bucket_counts t =
   let n = Array.length t.bounds in
   List.init (n + 1) (fun i ->
       ((if i < n then Some t.bounds.(i) else None), t.counts.(i)))
-
-let percentile t p =
-  if t.total = 0 then None
-  else begin
-    let threshold = p /. 100. *. float_of_int t.total in
-    let n = Array.length t.bounds in
-    let rec scan i cum =
-      if i > n then Some t.max_seen
-      else
-        let cum = cum + t.counts.(i) in
-        if float_of_int cum >= threshold && cum > 0 then
-          if i < n then Some (min t.bounds.(i) t.max_seen) else Some t.max_seen
-        else scan (i + 1) cum
-    in
-    scan 0 0
-  end
 
 let to_json t =
   let buckets =

@@ -31,17 +31,9 @@ val count : t -> int
 
 val sum : t -> int
 
-val max_seen : t -> int option
-
 val bucket_counts : t -> (int option * int) list
 (** [(Some upper_bound, count)] per bucket in order, the final
     [(None, count)] being the overflow bucket. *)
-
-val percentile : t -> float -> int option
-(** [percentile t p] (p in [0,100]): the smallest bucket upper bound
-    such that at least p% of observations fall at or below it; the
-    maximum observed value when that lands in the overflow bucket;
-    [None] when empty. *)
 
 val to_json : t -> Json.t
 (** [{"count";"sum";"max";"buckets":[{"le";"count"},...]}]; overflow

@@ -87,10 +87,9 @@ let output ?pretty oc v =
 (* --- parsing ----------------------------------------------------------- *)
 
 (* Recursive-descent parser over exactly the subset the serializer
-   emits (plus scientific-notation floats).  Reports were historically
-   write-only; the fuzz corpus made them an input format too — every
-   corpus entry is a JSON metadata file that must be read back to
-   replay the repro from its seed. *)
+   emits (plus scientific-notation floats): every fuzz-corpus entry is
+   a JSON metadata file that must be read back to replay the repro
+   from its seed. *)
 
 exception Parse_error of { pos : int; msg : string }
 

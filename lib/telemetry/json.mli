@@ -4,8 +4,7 @@
     order, floats print with enough precision to round-trip, strings
     are escaped per RFC 8259), plus a small recursive-descent parser:
     fuzz-corpus entries are JSON metadata files that must be read back
-    to replay a repro from its seed, so reports are no longer a
-    write-only format. *)
+    to replay a repro from its seed. *)
 
 type t =
   | Null
@@ -20,9 +19,6 @@ val to_string : ?pretty:bool -> t -> string
 (** [pretty] (default false) indents with two spaces. *)
 
 val output : ?pretty:bool -> out_channel -> t -> unit
-
-val escape : string -> string
-(** The quoted, escaped form of a string literal. *)
 
 val parse : string -> (t, string) result
 (** Parse a complete JSON document; [Error] carries a one-line message

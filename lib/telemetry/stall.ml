@@ -30,5 +30,3 @@ let name = function
   | Btb_mispredict -> "btb-mispredict"
   | Port_contention -> "port-contention"
   | Raw_dependence -> "raw-dependence"
-
-let of_name s = List.find_opt (fun c -> name c = s) all

@@ -30,5 +30,3 @@ val index : t -> int
 
 val name : t -> string
 (** Kebab-case metric name, e.g. ["load-use"]. *)
-
-val of_name : string -> t option

@@ -2,6 +2,4 @@
     kernel changes; {!Suite} attaches them so every consumer
     self-checks. *)
 
-val table : (string * string) list
-
 val find : string -> string option

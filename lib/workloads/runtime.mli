@@ -4,6 +4,4 @@
     the scattered layouts real allocators produce (so pointer chasing
     is not secretly stride-predictable). *)
 
-val prelude : string
-
 val with_prelude : string -> string

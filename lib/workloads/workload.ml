@@ -10,11 +10,11 @@ type t =
   ; source : string
   ; expected_output : string option }
 
-let make ~name ~suite ~description ?expected_output body =
+let make ~name ~suite ~description body =
   { name
   ; suite
   ; description
   ; source = Runtime.with_prelude body
-  ; expected_output }
+  ; expected_output = None }
 
 let suite_name = function Spec -> "SPEC-like" | Media -> "MediaBench-like"

@@ -10,10 +10,8 @@ type t =
   ; source : string
   ; expected_output : string option }
 
-val make :
-  name:string -> suite:suite -> description:string ->
-  ?expected_output:string -> string -> t
+val make : name:string -> suite:suite -> description:string -> string -> t
 (** Build a workload from a MiniC body (the runtime prelude is
-    prepended). *)
+    prepended); {!Suite} attaches the expected output. *)
 
 val suite_name : suite -> string

@@ -40,7 +40,7 @@ let test_gen_lint_clean_and_green () =
         let r = Oracle.run ~max_insns:g.Gen.budget cfg g.Gen.program in
         check_bool
           (Printf.sprintf "seed %d green under %s" seed
-             (Config.Mechanism.to_string m))
+             (Config.mechanism_name m))
           true (Oracle.ok r))
       mechs
   done
@@ -222,8 +222,8 @@ let test_verdict_preset_independent () =
               check_bool
                 (Printf.sprintf "%s, %s: %s agrees with %s" name
                    (Option.value mutation ~default:"no mutation")
-                   (Config.Mechanism.to_string m)
-                   (Config.Mechanism.to_string (List.hd Config.Mechanism.all)))
+                   (Config.mechanism_name m)
+                   (Config.mechanism_name (List.hd Config.Mechanism.all)))
                 true
                 (under m = first))
             (List.tl Config.Mechanism.all))

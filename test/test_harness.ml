@@ -69,12 +69,17 @@ let test_reclassify_upgrades_nt () =
 let test_reclassify_threshold () =
   let program = Compile.compile misclassified_src in
   let prof = Profile.collect program in
-  (* with an impossible threshold nothing changes *)
-  let unchanged = Profile.reclassify ~threshold:1.1 prof program in
+  let reclassified = Profile.reclassify prof program in
+  (* exactly the ld_n loads whose rate exceeds the paper's 0.60 move *)
   List.iter
     (fun (pc, insn) ->
-      check_bool "no change at threshold > 1" true
-        (Insn.load_spec (Program.insn unchanged pc) = Insn.load_spec insn))
+      let upgrade =
+        Insn.load_spec insn = Some Insn.Ld_n
+        && match Profile.rate prof pc with Some r -> r > 0.60 | None -> false
+      in
+      check_bool "ld_p iff ld_n with rate > 0.60" true
+        (Insn.load_spec (Program.insn reclassified pc)
+         = if upgrade then Some Insn.Ld_p else Insn.load_spec insn))
     (Program.static_loads program)
 
 let suite =

@@ -184,8 +184,7 @@ let test_assemble_resolves_targets () =
   check "length" 3 (Program.length p);
   check "entry" 0 (Program.entry p);
   check "jump target" 2 (Program.target p 0);
-  check "no target" (-1) (Program.target p 1);
-  check "symbol" 1 (Program.symbol p "mid")
+  check "no target" (-1) (Program.target p 1)
 
 let test_assemble_unknown_label () =
   let layout = Layout.create () in

@@ -506,7 +506,7 @@ let test_reset_equals_create () =
             let pipe = Pipeline.create cfg and emu = Emulator.create program in
             observe pipe emu (run pipe emu max_insns)
           in
-          let label what = Printf.sprintf "%s, %s: %s" name (Config.Mechanism.to_string mech) what in
+          let label what = Printf.sprintf "%s, %s: %s" name (Config.mechanism_name mech) what in
           let (counters, sites, result) = reused and (counters', sites', result') = fresh in
           check_bool (label "statistics") true (counters = counters');
           check_bool (label "load sites") true (sites = sites');
@@ -520,7 +520,7 @@ let test_reset_equals_create () =
 let test_mechanism_roundtrip () =
   List.iter
     (fun m ->
-      let name = Config.Mechanism.to_string m in
+      let name = Config.mechanism_name m in
       match Config.Mechanism.of_string name with
       | Some m' -> check_bool (name ^ " round-trips") true (m = m')
       | None -> Alcotest.fail (name ^ " failed to parse back"))

@@ -1,5 +1,5 @@
-(* Telemetry tests: JSON serialization, histogram bucketing and
-   percentiles, the Chrome trace exporter, the pipeline's
+(* Telemetry tests: JSON serialization, histogram bucketing, merging
+   and summaries, the Chrome trace exporter, the pipeline's
    stall-attribution invariant (busy + Σ stalls = cycles) across
    workloads × mechanisms, per-load-site accounting, and golden-file
    checks of the JSON and CSV reports. *)
@@ -104,19 +104,39 @@ let test_histogram_bucketing () =
        false
      with Invalid_argument _ -> true)
 
-let test_histogram_percentiles () =
-  let h = Histogram.create ~bounds:[| 1; 2; 4; 8 |] in
-  (* 90 observations of 1, 9 of 3, 1 of 20 *)
-  for _ = 1 to 90 do Histogram.observe h 1 done;
-  for _ = 1 to 9 do Histogram.observe h 3 done;
-  Histogram.observe h 20;
-  check "p50" 1 (Option.get (Histogram.percentile h 50.));
-  check "p90" 1 (Option.get (Histogram.percentile h 90.));
-  check "p95 lands in (2,4]" 4 (Option.get (Histogram.percentile h 95.));
-  check "p100 is the max" 20 (Option.get (Histogram.percentile h 100.));
-  check "max seen" 20 (Option.get (Histogram.max_seen h));
-  check_bool "empty has no percentile" true
-    (Histogram.percentile (Histogram.create ~bounds:[| 1 |]) 50. = None)
+let test_histogram_merge_reset_json () =
+  let bounds = [| 1; 2; 4 |] in
+  let a = Histogram.create ~bounds and b = Histogram.create ~bounds in
+  check_bool "empty max is null" true
+    (Json.member "max" (Histogram.to_json a) = Some Json.Null);
+  List.iter (Histogram.observe a) [ 1; 3 ];
+  List.iter (Histogram.observe b) [ 2; 20 ];
+  Histogram.merge_into ~into:a b;
+  check_bool "merged summary" true
+    (Histogram.to_json a
+     = Json.Obj
+         [ ("count", Json.Int 4)
+         ; ("sum", Json.Int 26)
+         ; ("max", Json.Int 20)
+         ; ( "buckets"
+           , Json.List
+               [ Json.Obj [ ("le", Json.Int 1); ("count", Json.Int 1) ]
+               ; Json.Obj [ ("le", Json.Int 2); ("count", Json.Int 1) ]
+               ; Json.Obj [ ("le", Json.Int 4); ("count", Json.Int 1) ]
+               ; Json.Obj [ ("le", Json.String "inf"); ("count", Json.Int 1) ] ] ) ]);
+  check "source untouched" 2 (Histogram.count b);
+  check_bool "rejects different bounds" true
+    (try
+       Histogram.merge_into ~into:a (Histogram.create ~bounds:[| 1 |]);
+       false
+     with Invalid_argument _ -> true);
+  Histogram.reset a;
+  check_bool "reset equals create" true
+    (Histogram.to_json a = Histogram.to_json (Histogram.create ~bounds));
+  (* a reset histogram tracks a maximum below any earlier one *)
+  Histogram.observe a (-5);
+  check_bool "max after reset" true
+    (Json.member "max" (Histogram.to_json a) = Some (Json.Int (-5)))
 
 (* --- trace exporter -------------------------------------------------------- *)
 
@@ -137,11 +157,9 @@ let test_trace_events () =
 
 (* --- stall taxonomy -------------------------------------------------------- *)
 
-let test_stall_names_roundtrip () =
-  List.iter
-    (fun cause ->
-      check_bool (Stall.name cause) true (Stall.of_name (Stall.name cause) = Some cause))
-    Stall.all;
+let test_stall_names_distinct () =
+  let names = List.map Stall.name Stall.all in
+  check "names distinct" (List.length names) (List.length (List.sort_uniq compare names));
   check "cardinal" (List.length Stall.all) Stall.cardinal
 
 (* --- stall-attribution invariant ------------------------------------------- *)
@@ -179,7 +197,7 @@ let for_each_input mechanisms f =
     (fun (name, program, max_insns, mechanisms) ->
       List.iter
         (fun mech ->
-          f (name ^ "/" ^ Config.Mechanism.to_string mech)
+          f (name ^ "/" ^ Config.mechanism_name mech)
             (Config.with_mechanism mech Config.default) program max_insns)
         mechanisms)
     (invariant_inputs mechanisms)
@@ -325,7 +343,7 @@ let test_spec_insensitivity () =
           List.iter
             (fun spec ->
               let label =
-                Fmt.str "%s/%s as %a" name (Config.Mechanism.to_string mech) Insn.pp_load_spec spec
+                Fmt.str "%s/%s as %a" name (Config.mechanism_name mech) Insn.pp_load_spec spec
               in
               check_bool (label ^ ": unchanged") true
                 (spec_blind_view (run_capped mech (respecify spec program) max_insns) = reference))
@@ -423,9 +441,9 @@ let suite =
   [ Alcotest.test_case "json: printing" `Quick test_json_printing
   ; Alcotest.test_case "json: parse roundtrip" `Quick test_json_parse_roundtrip
   ; Alcotest.test_case "histogram: bucketing" `Quick test_histogram_bucketing
-  ; Alcotest.test_case "histogram: percentiles" `Quick test_histogram_percentiles
+  ; Alcotest.test_case "histogram: merge, reset and json" `Quick test_histogram_merge_reset_json
   ; Alcotest.test_case "trace: events" `Quick test_trace_events
-  ; Alcotest.test_case "stall: names" `Quick test_stall_names_roundtrip
+  ; Alcotest.test_case "stall: names" `Quick test_stall_names_distinct
   ; Alcotest.test_case "pipeline: stall invariant" `Quick test_stall_invariant
   ; Alcotest.test_case "pipeline: load sites account" `Quick test_load_sites_account
   ; Alcotest.test_case "pipeline: derived load counters" `Quick
