@@ -47,6 +47,9 @@ module Diag = Elag_verify.Diag
 module Campaign = Elag_fuzz.Campaign
 module Gen = Elag_fuzz.Gen
 module Json = Elag_telemetry.Json
+module Config = Elag_sim.Config
+module Workload = Elag_workloads.Workload
+module Suite = Elag_workloads.Suite
 
 let usage () =
   prerr_endline
@@ -57,12 +60,16 @@ let usage () =
 
 (* Each suite prints one line per item and returns whether it was
    all-green, so [verify] can run everything before the exit code. *)
-let lint_suite engine =
-  let results = Verification.run_lint_suite engine in
-  List.iter
-    (fun (name, r) -> Fmt.pr "%-16s @[<v>%a@]@." name Lint.pp r)
-    results;
-  List.for_all (fun (_, r) -> Lint.ok r) results
+let workload_suite engine check pp ok =
+  let results =
+    Engine.map engine
+      (fun (w : Workload.t) -> (w.Workload.name, check (Engine.program engine w)))
+      Suite.all
+  in
+  List.iter (fun (name, r) -> Fmt.pr "%-16s @[<v>%a@]@." name pp r) results;
+  List.for_all (fun (_, r) -> ok r) results
+
+let lint_suite engine = workload_suite engine Lint.check Lint.pp Lint.ok
 
 let fault_suite ?entries engine =
   let results = Verification.run_fault_suite ?entries engine in
@@ -75,12 +82,12 @@ let fault_suite ?entries engine =
     (if ok then "all ok" else "FAILURES");
   ok
 
+(* The whole-suite differential oracle under dual-cc. *)
 let oracle_suite engine =
-  let results = Verification.run_oracle_suite engine in
-  List.iter
-    (fun (name, r) -> Fmt.pr "%-16s @[<v>%a@]@." name Oracle.pp r)
-    results;
-  List.for_all (fun (_, r) -> Oracle.ok r) results
+  let cfg =
+    Config.with_mechanism (Config.Mechanism.of_string_exn "dual-cc") Config.default
+  in
+  workload_suite engine (Oracle.run cfg) Oracle.pp Oracle.ok
 
 let finish ok = if not ok then exit 1
 

@@ -45,11 +45,11 @@
      --seed N            seed for --fault plans (default 0); rejected
                          without --fault
 
-   Timed runs lint the compiled program first (wild control targets,
-   illegal registers, ld_e binding rules, data bounds) and exit 2 with
-   a one-line diagnostic when the artifact is malformed. *)
+   Every mode takes its programs from one engine, which lints each
+   compiled program first (wild control targets, illegal registers,
+   ld_e binding rules, data bounds); a malformed artifact exits 2 with
+   a one-line diagnostic. *)
 
-module Compile = Elag_harness.Compile
 module Pipeline = Elag_sim.Pipeline
 module Report = Elag_sim.Report
 module Config = Elag_sim.Config
@@ -60,8 +60,6 @@ module Json = Elag_telemetry.Json
 module Trace = Elag_telemetry.Trace
 module Insn = Elag_isa.Insn
 module Engine = Elag_engine.Engine
-module Pool = Elag_engine.Pool
-module Lint = Elag_verify.Lint
 module Oracle = Elag_verify.Oracle
 module Diag = Elag_verify.Diag
 module Fault = Elag_verify.Fault
@@ -87,23 +85,27 @@ let find_workload name =
          (List.map (fun (w : Workload.t) -> w.Workload.name) Suite.all));
     usage ()
 
-let emulate_one ~max_insns (w : Workload.t) =
-  let emu = Emulator.create (Compile.compile w.Workload.source) in
+let emulate_one engine ~max_insns (w : Workload.t) =
+  let emu = Emulator.create (Engine.program engine w) in
   Emulator.run ?max_insns emu;
   Printf.sprintf "%-16s  insns=%9d  output=%s" w.Workload.name (Emulator.retired emu)
     (String.concat "," (String.split_on_char '\n' (String.trim (Emulator.output emu))))
 
-(* Emulate every workload on the pool; lines print in suite order once
-   all work is done, so output is identical at every -j. *)
-let emulate_all ~jobs ~max_insns =
-  List.iter print_endline
-    (Pool.map_list ~jobs (emulate_one ~max_insns) Suite.all)
+(* Emulate every workload on the engine's pool; lines print in suite
+   order once all work is done, so output is identical at every -j.
+   The first workload in suite order that fails ends the run with its
+   own diagnostic, as the single-workload mode would. *)
+let emulate_all engine ~max_insns =
+  Engine.map engine
+    (fun w -> try Ok (emulate_one engine ~max_insns w) with e -> Error e)
+    Suite.all
+  |> List.map (function Ok line -> line | Error e -> raise e)
+  |> List.iter print_endline
 
 (* Time every workload under one mechanism through the engine.  The
    baselines the speedup column needs are scheduled as pool jobs too,
    so the printing loop below runs entirely out of cache. *)
-let time_all ~jobs mech =
-  let engine = Engine.create ~jobs () in
+let time_all engine mech =
   let sweep =
     List.concat_map
       (fun w -> [ Engine.Job.make w Config.No_early; Engine.Job.make w mech ])
@@ -116,8 +118,7 @@ let time_all ~jobs mech =
     (fun (w : Workload.t) ->
       let s = Engine.simulate engine w mech in
       Printf.printf "%-16s %12d %12d %8.2f %9.3f\n" w.Workload.name
-        s.Pipeline.cycles s.Pipeline.instructions
-        (float_of_int s.Pipeline.instructions /. float_of_int (max 1 s.Pipeline.cycles))
+        s.Pipeline.cycles s.Pipeline.instructions (Report.ipc s)
         (Engine.speedup engine w mech))
     Suite.all
 
@@ -144,36 +145,9 @@ let install_trace t =
         ());
   tr
 
-let print_text_summary (w : Workload.t) mech (stats : Pipeline.stats) t output =
-  Printf.printf "%s under %s:\n" w.Workload.name (Config.mechanism_name mech);
-  Printf.printf "  cycles=%d insns=%d IPC=%.2f\n" stats.Pipeline.cycles
-    stats.Pipeline.instructions
-    (float_of_int stats.Pipeline.instructions /. float_of_int stats.Pipeline.cycles);
-  Printf.printf "  loads=%d (n=%d p=%d e=%d) stores=%d\n" stats.Pipeline.loads
-    stats.Pipeline.loads_n stats.Pipeline.loads_p stats.Pipeline.loads_e
-    stats.Pipeline.stores;
-  Printf.printf "  spec: table %d/%d calc %d/%d wasted=%d\n"
-    stats.Pipeline.table_successes stats.Pipeline.table_attempts
-    stats.Pipeline.calc_successes stats.Pipeline.calc_attempts
-    stats.Pipeline.wasted_spec;
-  Printf.printf "  avg load latency=%.2f dmiss=%d imiss=%d btb_miss=%d\n"
-    (float_of_int stats.Pipeline.load_latency_sum /. float_of_int (max 1 stats.Pipeline.loads))
-    stats.Pipeline.dcache_misses stats.Pipeline.icache_misses
-    stats.Pipeline.btb_mispredicts;
-  Printf.printf "  stalls: busy=%d %s\n" (Pipeline.busy_cycles t)
-    (String.concat " "
-       (List.map
-          (fun (cause, n) ->
-            Printf.sprintf "%s=%d" (Elag_telemetry.Stall.name cause) n)
-          (Pipeline.stall_breakdown t)));
-  Printf.printf "  output=%s\n"
-    (String.concat "," (String.split_on_char '\n' (String.trim output)))
-
-let oracle_one (w : Workload.t) mech ~max_insns =
-  let program = Compile.compile w.Workload.source in
-  Lint.enforce program;
+let oracle_one engine (w : Workload.t) mech ~max_insns =
   let cfg = Config.with_mechanism mech Config.default in
-  let r = Oracle.run ?max_insns cfg program in
+  let r = Oracle.run ?max_insns cfg (Engine.program engine w) in
   Fmt.pr "%s under %s: @[<v>%a@]@." w.Workload.name
     (Config.mechanism_name mech) Oracle.pp r;
   if not (Oracle.ok r) then exit 1
@@ -181,9 +155,8 @@ let oracle_one (w : Workload.t) mech ~max_insns =
 (* Seeded fault plan against one (workload, mechanism): baseline run,
    corrupt the predictor state on a retire-count schedule derived from
    the baseline's length, and hold the architectural invariants. *)
-let fault_one (w : Workload.t) mech target ~seed ~max_insns =
-  let program = Compile.compile w.Workload.source in
-  Lint.enforce program;
+let fault_one engine (w : Workload.t) mech target ~seed ~max_insns =
+  let program = Engine.program engine w in
   let cfg = Config.with_mechanism mech Config.default in
   let base = Fault.baseline ?max_insns cfg program in
   let retired = max 1 base.Fault.base_retired in
@@ -199,18 +172,13 @@ let fault_one (w : Workload.t) mech target ~seed ~max_insns =
     Fault.pp_outcome outcome;
   if not (Fault.outcome_ok outcome) then exit 1
 
-let time_one (w : Workload.t) mech ~report ~trace_file ~max_insns =
-  let program = Compile.compile w.Workload.source in
-  Lint.enforce program;
-  let cfg = Config.with_mechanism mech Config.default in
-  let t = Pipeline.create cfg in
+let time_one engine (w : Workload.t) mech ~report ~trace_file ~max_insns =
+  let t = Pipeline.create (Config.with_mechanism mech Config.default) in
   let tr = Option.map (fun _ -> install_trace t) trace_file in
-  let emu = Emulator.create program in
+  let emu = Emulator.create (Engine.program engine w) in
   (* a user-bounded run is a measurement window, not a runaway loop *)
   (try Emulator.run ~observer:(Pipeline.observer t) ?max_insns emu
    with Emulator.Runaway _ when max_insns <> None -> ());
-  let output = Emulator.output emu in
-  let stats = Pipeline.stats t in
   (match (trace_file, tr) with
   | Some file, Some tr ->
     let oc = open_out file in
@@ -223,7 +191,8 @@ let time_one (w : Workload.t) mech ~report ~trace_file ~max_insns =
   | Some `Json -> print_endline (Json.to_string ~pretty:true (Report.to_json ~meta t))
   | Some `Csv ->
     print_string (Report.to_csv ~meta:[ ("workload", w.Workload.name) ] t)
-  | None -> print_text_summary w mech stats t output
+  | None ->
+    print_string (Report.to_text ~name:w.Workload.name ~output:(Emulator.output emu) t)
 
 let () =
   Diag.guard "elag_sim_run" @@ fun () ->
@@ -284,20 +253,20 @@ let () =
   if (!jobs <> None && not (!all || !positional = []))
      || (!seed <> None && !fault = None)
   then usage ();
-  let jobs = Option.value !jobs ~default:(Pool.default_jobs ()) in
+  let engine = Engine.create ?jobs:!jobs () in
   match (!all, !oracle, !fault, List.rev !positional, !report, !trace_file) with
-  | true, false, None, [], None, None -> emulate_all ~jobs ~max_insns
+  | true, false, None, [], None, None -> emulate_all engine ~max_insns
   | true, false, None, [ mech ], None, None when max_insns = None ->
-    time_all ~jobs (mechanism_of_string mech)
-  | false, false, None, [], None, None -> emulate_all ~jobs ~max_insns
+    time_all engine (mechanism_of_string mech)
+  | false, false, None, [], None, None -> emulate_all engine ~max_insns
   | false, false, None, [ name ], None, None ->
-    emulate_one ~max_insns (find_workload name) |> print_endline
+    emulate_one engine ~max_insns (find_workload name) |> print_endline
   | false, true, None, [ name; mech ], None, None ->
-    oracle_one (find_workload name) (mechanism_of_string mech) ~max_insns
+    oracle_one engine (find_workload name) (mechanism_of_string mech) ~max_insns
   | false, false, Some target, [ name; mech ], None, None ->
-    fault_one (find_workload name) (mechanism_of_string mech) target
+    fault_one engine (find_workload name) (mechanism_of_string mech) target
       ~seed:(Option.value !seed ~default:0) ~max_insns
   | false, false, None, [ name; mech ], report, trace_file ->
-    time_one (find_workload name) (mechanism_of_string mech) ~report ~trace_file
-      ~max_insns
+    time_one engine (find_workload name) (mechanism_of_string mech) ~report
+      ~trace_file ~max_insns
   | _ -> usage ()

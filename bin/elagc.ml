@@ -10,10 +10,14 @@
      elagc -emit-asm prog.mc       print the assembled program
      elagc -run prog.mc            execute and print program output
      elagc -lint prog.mc           static EPA-32 verification of the artifact
-     elagc -time dual-cc prog.mc   cycle-accurate timing under a mechanism
+     elagc -time dual-cc prog.mc   cycle-accurate timing under a mechanism,
+                                   printed as elag_sim_run's run summary
      elagc -O0|-O1|-O2             optimization level (default -O2)
      elagc -no-classify            leave every load ld_n
-     elagc -profile prog.mc        profile, reclassify, and re-time *)
+     elagc -profile prog.mc        profile, reclassify, and re-time
+
+   -time and -profile lint every program they time; a rejected artifact
+   exits 2 with a one-line diagnostic. *)
 
 module Compile = Elag_harness.Compile
 module Profile = Elag_harness.Profile
@@ -24,6 +28,7 @@ module Config = Elag_sim.Config
 module Lint = Elag_verify.Lint
 module Diag = Elag_verify.Diag
 module Pipeline = Elag_sim.Pipeline
+module Report = Elag_sim.Report
 module Emulator = Elag_sim.Emulator
 
 type action = Summarize | Emit_ir | Emit_asm | Run | Lint | Time of Config.mechanism | Profile_run
@@ -49,23 +54,6 @@ let summarize program =
   Fmt.pr "%d instructions, %d static loads: %d ld_n, %d ld_p, %d ld_e@."
     (Program.length program) (List.length loads) (count Insn.Ld_n)
     (count Insn.Ld_p) (count Insn.Ld_e)
-
-let print_stats (stats : Pipeline.stats) =
-  Fmt.pr "cycles:            %d@." stats.Pipeline.cycles;
-  Fmt.pr "instructions:      %d (IPC %.2f)@." stats.Pipeline.instructions
-    (float_of_int stats.Pipeline.instructions /. float_of_int (max 1 stats.Pipeline.cycles));
-  Fmt.pr "loads:             %d (n=%d p=%d e=%d), avg latency %.2f@."
-    stats.Pipeline.loads stats.Pipeline.loads_n stats.Pipeline.loads_p
-    stats.Pipeline.loads_e
-    (float_of_int stats.Pipeline.load_latency_sum
-    /. float_of_int (max 1 stats.Pipeline.loads));
-  Fmt.pr "speculation:       table %d/%d, calc %d/%d, wasted %d@."
-    stats.Pipeline.table_successes stats.Pipeline.table_attempts
-    stats.Pipeline.calc_successes stats.Pipeline.calc_attempts
-    stats.Pipeline.wasted_spec;
-  Fmt.pr "caches:            %d D-misses, %d I-misses; BTB mispredicts %d@."
-    stats.Pipeline.dcache_misses stats.Pipeline.icache_misses
-    stats.Pipeline.btb_mispredicts
 
 let () =
   let action = ref Summarize in
@@ -119,13 +107,14 @@ let () =
       if not (Lint.ok report) then exit 1
     | Time mech ->
       let program = Compile.compile ~options source in
-      let cfg = Config.with_mechanism mech Config.default in
-      let stats, _ = Pipeline.simulate cfg program in
-      print_stats stats
+      Lint.enforce program;
+      let t, output = Pipeline.run (Config.with_mechanism mech Config.default) program in
+      print_string (Report.to_text ~name:file ~output t)
     | Profile_run ->
       let program = Compile.compile ~options source in
-      let prof = Profile.collect program in
-      let reclassified = Profile.reclassify prof program in
+      Lint.enforce program;
+      let reclassified = Profile.reclassify (Profile.collect program) program in
+      Lint.enforce reclassified;
       Fmt.pr "before profiling: ";
       summarize program;
       Fmt.pr "after profiling:  ";

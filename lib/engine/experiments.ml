@@ -7,6 +7,7 @@
 
 module Config = Elag_sim.Config
 module Pipeline = Elag_sim.Pipeline
+module Report = Elag_sim.Report
 module Workload = Elag_workloads.Workload
 module Suite = Elag_workloads.Suite
 module Paper_data = Elag_harness.Paper_data
@@ -351,31 +352,25 @@ let pipeline_report_file = "BENCH_pipeline.json"
    went*, which is what makes the artifact diffable across changes. *)
 let write_pipeline_report engine =
   let workload_row (w : Workload.t) =
-    let program = Engine.program engine w in
-    let cfg mech = Config.with_mechanism mech Config.default in
-    let base, _ = Pipeline.run (cfg Config.No_early) program in
-    let dual, _ = Pipeline.run (cfg dual_cc) program in
-    let bs = Pipeline.stats base and ds = Pipeline.stats dual in
-    let ipc (s : Pipeline.stats) =
-      float_of_int s.Pipeline.instructions /. float_of_int (max 1 s.Pipeline.cycles)
+    let base = Engine.base_cycles engine w in
+    let dual, _ =
+      Pipeline.run (Config.with_mechanism dual_cc Config.default) (Engine.program engine w)
     in
+    let ds = Pipeline.stats dual in
+    let speedup = float_of_int base /. float_of_int ds.Pipeline.cycles in
     let line =
-      Printf.sprintf "  %-16s base=%8d dual-cc=%8d speedup=%.3f" w.Workload.name
-        bs.Pipeline.cycles ds.Pipeline.cycles
-        (float_of_int bs.Pipeline.cycles /. float_of_int ds.Pipeline.cycles)
+      Printf.sprintf "  %-16s base=%8d dual-cc=%8d speedup=%.3f" w.Workload.name base
+        ds.Pipeline.cycles speedup
     in
     let json =
       Json.Obj
         [ ("name", Json.String w.Workload.name)
         ; ("suite", Json.String (Workload.suite_name w.Workload.suite))
         ; ("instructions", Json.Int ds.Pipeline.instructions)
-        ; ("baseline_cycles", Json.Int bs.Pipeline.cycles)
+        ; ("baseline_cycles", Json.Int base)
         ; ("cycles", Json.Int ds.Pipeline.cycles)
-        ; ("ipc", Json.Float (ipc ds))
-        ; ( "speedup"
-          , Json.Float
-              (float_of_int bs.Pipeline.cycles /. float_of_int (max 1 ds.Pipeline.cycles))
-          )
+        ; ("ipc", Json.Float (Report.ipc ds))
+        ; ("speedup", Json.Float speedup)
         ; ( "stalls"
           , Json.Obj
               (("busy", Json.Int (Pipeline.busy_cycles dual))

@@ -1,4 +1,4 @@
-(* Standing verification suites over the workload suite.
+(* The curated fault-injection matrix over the workload suite.
 
    Matrix-design constraints:
    - each fault target rides {!Fault.preset_of_target}, a mechanism
@@ -16,11 +16,8 @@
    verified [cycles >= clean] inequality permanent. *)
 
 module Config = Elag_sim.Config
-module Workload = Elag_workloads.Workload
 module Suite = Elag_workloads.Suite
 module Fault = Elag_verify.Fault
-module Lint = Elag_verify.Lint
-module Oracle = Elag_verify.Oracle
 
 type entry =
   { workload : string
@@ -96,16 +93,3 @@ let run_fault_suite ?(entries = fault_matrix) engine =
       let baseline = Hashtbl.find baselines (e.workload, e.mechanism) in
       (e, Fault.run_plan ~baseline cfg (Engine.program engine w) e.plan))
     entries
-
-let run_lint_suite engine =
-  Engine.map engine
-    (fun (w : Workload.t) ->
-      (w.Workload.name, Lint.check (Engine.program engine w)))
-    Suite.all
-
-let run_oracle_suite engine =
-  let cfg = config_of "dual-cc" in
-  Engine.map engine
-    (fun (w : Workload.t) ->
-      (w.Workload.name, Oracle.run cfg (Engine.program engine w)))
-    Suite.all

@@ -1,7 +1,5 @@
-(** The repository's standing verification suites: the curated fault
-    matrix, the whole-suite lint pass, and the whole-suite differential
-    oracle, all driven through an {!Engine} so artifacts are shared
-    with ordinary experiments.
+(** The repository's curated fault-injection matrix, driven through an
+    {!Engine} so artifacts are shared with ordinary experiments.
 
     The fault matrix pairs each plan with the workload and mechanism it
     corrupts.  Structures exist only under the mechanisms that
@@ -13,8 +11,6 @@
     once-verified invariants are pinned forever. *)
 
 module Fault = Elag_verify.Fault
-module Lint = Elag_verify.Lint
-module Oracle = Elag_verify.Oracle
 
 type entry =
   { workload : string  (** suite workload name *)
@@ -31,11 +27,3 @@ val run_fault_suite :
     three workloads covering every fault target), sharing one
     fault-free baseline per (workload, mechanism) pair; results in
     matrix order. *)
-
-val run_lint_suite : Engine.t -> (string * Lint.report) list
-(** Lint the compiled (and engine-cached) program of every suite
-    workload. *)
-
-val run_oracle_suite : Engine.t -> (string * Oracle.report) list
-(** Differential-oracle the full timed simulation of every suite
-    workload under [dual-cc]. *)

@@ -1,5 +1,5 @@
-(* Machine-readable reports over one pipeline run: JSON document and
-   CSV.  Both emitters read the same accessors, so the shapes cannot
+(* Reports over one pipeline run: JSON document, CSV and the text
+   summary.  All three read the same accessors, so the shapes cannot
    drift apart. *)
 
 module Json = Elag_telemetry.Json
@@ -133,4 +133,26 @@ let to_csv ?(meta = []) t =
            site.Pipeline.site_calc_successes site.Pipeline.site_wasted_spec
            site.Pipeline.site_dcache_misses (Histogram.sum site.Pipeline.site_latency)))
     (Pipeline.load_sites t);
+  Buffer.contents buf
+
+let to_text ~name ~output t =
+  let s = Pipeline.stats t in
+  let buf = Buffer.create 512 in
+  let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') buf fmt in
+  line "%s under %s:" name (Config.mechanism_name (Pipeline.config t).Config.mechanism);
+  line "  cycles=%d insns=%d IPC=%.2f" s.Pipeline.cycles s.Pipeline.instructions (ipc s);
+  line "  loads=%d (n=%d p=%d e=%d) stores=%d" s.Pipeline.loads s.Pipeline.loads_n
+    s.Pipeline.loads_p s.Pipeline.loads_e s.Pipeline.stores;
+  line "  spec: table %d/%d calc %d/%d wasted=%d" s.Pipeline.table_successes
+    s.Pipeline.table_attempts s.Pipeline.calc_successes s.Pipeline.calc_attempts
+    s.Pipeline.wasted_spec;
+  line "  avg load latency=%.2f dmiss=%d imiss=%d btb_miss=%d"
+    (float_of_int s.Pipeline.load_latency_sum /. float_of_int (max 1 s.Pipeline.loads))
+    s.Pipeline.dcache_misses s.Pipeline.icache_misses s.Pipeline.btb_mispredicts;
+  line "  stalls: busy=%d %s" (Pipeline.busy_cycles t)
+    (String.concat " "
+       (List.map
+          (fun (cause, n) -> Printf.sprintf "%s=%d" (Stall.name cause) n)
+          (Pipeline.stall_breakdown t)));
+  line "  output=%s" (String.concat "," (String.split_on_char '\n' (String.trim output)));
   Buffer.contents buf

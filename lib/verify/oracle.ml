@@ -43,13 +43,14 @@ let ok r =
 (* The checker keeps no per-retire allocation: the reference retire is
    captured by one closure built in [create] (passed to
    {!Emulator.step} as a preallocated option), the agreeing events sit
-   in a fixed ring of parallel arrays (retire [i] in slot [i mod keep]),
+   in a fixed ring of parallel arrays (retire [i] in slot [i mod ring]),
    and [event] records are built only at the divergence, reading each
    instruction from its program. *)
+let ring = 8
+
 type t =
   { reference : Emulator.t
   ; reference_program : Program.t
-  ; keep : int
   ; ring_pc : int array
   ; ring_eff : int array
   ; ring_taken : bool array
@@ -62,16 +63,14 @@ type t =
   ; mutable ref_next_pc : int
   ; capture : Emulator.observer option }
 
-let create ?(keep = 8) program =
-  if keep < 0 then invalid_arg "Oracle.create";
+let create program =
   let rec t =
     { reference = Emulator.create program
     ; reference_program = program
-    ; keep
-    ; ring_pc = Array.make keep 0
-    ; ring_eff = Array.make keep 0
-    ; ring_taken = Array.make keep false
-    ; ring_next_pc = Array.make keep 0
+    ; ring_pc = Array.make ring 0
+    ; ring_eff = Array.make ring 0
+    ; ring_taken = Array.make ring false
+    ; ring_next_pc = Array.make ring 0
     ; compared = 0
     ; div = None
     ; ref_pc = 0
@@ -88,12 +87,13 @@ let create ?(keep = 8) program =
   in
   t
 
-(* the last [min keep compared] agreeing events of the subject
+(* the last [min ring compared] agreeing events of the subject
    program [p], oldest first *)
 let recent_list t p =
-  List.init (min t.keep t.compared) (fun k ->
-      let i = t.compared - min t.keep t.compared + k in
-      let s = i mod t.keep in
+  let n = min ring t.compared in
+  List.init n (fun k ->
+      let i = t.compared - n + k in
+      let s = i mod ring in
       { ev_index = i
       ; ev_pc = t.ring_pc.(s)
       ; ev_insn = Program.insn p t.ring_pc.(s)
@@ -118,13 +118,11 @@ let observer t : Emulator.observer =
       && same_insn p t.reference_program pc
       && eff = t.ref_eff && taken = t.ref_taken && next_pc = t.ref_next_pc
     then begin
-      if t.keep > 0 then begin
-        let s = t.compared mod t.keep in
-        t.ring_pc.(s) <- pc;
-        t.ring_eff.(s) <- eff;
-        t.ring_taken.(s) <- taken;
-        t.ring_next_pc.(s) <- next_pc
-      end;
+      let s = t.compared mod ring in
+      t.ring_pc.(s) <- pc;
+      t.ring_eff.(s) <- eff;
+      t.ring_taken.(s) <- taken;
+      t.ring_next_pc.(s) <- next_pc;
       t.compared <- t.compared + 1
     end
     else
@@ -150,9 +148,9 @@ let observer t : Emulator.observer =
 
 let divergence t = t.div
 
-let run ?max_insns ?keep ?reference (cfg : Elag_sim.Config.t) program =
+let run ?max_insns ?reference (cfg : Elag_sim.Config.t) program =
   let reference_prog = Option.value reference ~default:program in
-  let oracle = create ?keep reference_prog in
+  let oracle = create reference_prog in
   let pipe = Elag_sim.Pipeline.create cfg in
   let pipe_obs = Elag_sim.Pipeline.observer pipe in
   let oracle_obs = observer oracle in

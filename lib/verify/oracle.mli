@@ -28,8 +28,8 @@ type divergence =
   ; div_reference : event option
     (** [None] when the reference emulator had already halted. *)
   ; div_recent : event list
-    (** The last agreeing events before the divergence, oldest
-        first — the "how did we get here" context. *) }
+    (** The last agreeing events before the divergence (at most 8),
+        oldest first — the "how did we get here" context. *) }
 
 type report =
   { compared : int  (** events that agreed *)
@@ -47,9 +47,9 @@ val ok : report -> bool
 
 type t
 
-val create : ?keep:int -> Elag_isa.Program.t -> t
+val create : Elag_isa.Program.t -> t
 (** Lockstep checker against a fresh reference emulator for the given
-    program; [keep] (default 8) bounds [div_recent]. *)
+    program. *)
 
 val observer : t -> Elag_sim.Emulator.observer
 (** Feed one subject retire event: steps the reference emulator once
@@ -61,7 +61,6 @@ val divergence : t -> divergence option
 
 val run :
   ?max_insns:int ->
-  ?keep:int ->
   ?reference:Elag_isa.Program.t ->
   Elag_sim.Config.t ->
   Elag_isa.Program.t ->

@@ -412,13 +412,18 @@ let golden_program () =
         (Insn.Branch { cond = Insn.Lt; src1 = 12; src2 = Insn.I 500; target = "loop" })
     ; Program.Insn Insn.Halt ]
 
-let golden_report () =
+(* The golden kernel under dual-64-cc: the run the JSON and text
+   goldens pin. *)
+let golden_run () =
   let cfg =
     Config.with_mechanism
       (Config.Dual { table_entries = 64; selection = Config.Compiler_directed })
       Config.default
   in
-  let t, _ = Pipeline.run cfg (golden_program ()) in
+  Pipeline.run cfg (golden_program ())
+
+let golden_report () =
+  let t, _ = golden_run () in
   Json.to_string ~pretty:true (Report.to_json ~meta:[ ("workload", Json.String "golden") ] t)
   ^ "\n"
 
@@ -437,6 +442,11 @@ let test_golden_csv () =
   let t, _ = Pipeline.run cfg (golden_program ()) in
   Golden.check ~file:"golden_report.csv" (Report.to_csv ~meta:[ ("workload", "golden") ] t)
 
+(* The text summary the CLIs print for a timed run. *)
+let test_golden_text () =
+  let t, output = golden_run () in
+  Golden.check ~file:"golden_report.txt" (Report.to_text ~name:"golden" ~output t)
+
 let suite =
   [ Alcotest.test_case "json: printing" `Quick test_json_printing
   ; Alcotest.test_case "json: parse roundtrip" `Quick test_json_parse_roundtrip
@@ -452,4 +462,5 @@ let suite =
   ; Alcotest.test_case "bric: stats" `Quick test_bric_stats
   ; Alcotest.test_case "bric: surfaced" `Quick test_bric_stats_surfaced
   ; Alcotest.test_case "report: golden file" `Quick test_golden_report
-  ; Alcotest.test_case "report: golden csv" `Quick test_golden_csv ]
+  ; Alcotest.test_case "report: golden csv" `Quick test_golden_csv
+  ; Alcotest.test_case "report: golden text" `Quick test_golden_text ]

@@ -185,15 +185,15 @@ let test_oracle_detects_divergence () =
 
 let test_oracle_recent_ring_bounded () =
   (* Agree for [n] nops, then diverge: the context is exactly the last
-     [min keep n] agreeing retires, oldest first, including after the
-     ring has wrapped several times (20 nops, keep 3). *)
+     [min 8 n] agreeing retires (the ring holds 8), oldest first: a
+     prefix shorter than the ring, and one that wraps it twice. *)
   List.iter
-    (fun (n, keep, expected) ->
+    (fun (n, expected) ->
       let nops = List.init n (fun _ -> Program.Insn Insn.Nop) in
       let subject = asm (nops @ print_n 1)
       and reference = asm (nops @ print_n 2) in
-      let r = Oracle.run ~keep ~reference Config.default subject in
-      let label what = Printf.sprintf "%d nops, keep %d: %s" n keep what in
+      let r = Oracle.run ~reference Config.default subject in
+      let label what = Printf.sprintf "%d nops: %s" n what in
       match r.Oracle.divergence with
       | None -> Alcotest.fail (label "expected a divergence")
       | Some d ->
@@ -202,7 +202,7 @@ let test_oracle_recent_ring_bounded () =
           (List.map (fun e -> e.Oracle.ev_index) d.Oracle.div_recent = expected);
         check_bool (label "context pcs") true
           (List.map (fun e -> e.Oracle.ev_pc) d.Oracle.div_recent = expected))
-    [ (6, 3, [ 3; 4; 5 ]); (20, 3, [ 17; 18; 19 ]); (5, 0, []) ]
+    [ (5, List.init 5 Fun.id); (20, List.init 8 (fun k -> 12 + k)) ]
 
 (* The lockstep allocates nothing per retire: after a warm-up, the
    oracle's observer riding a dual-cc pipeline (exactly as in
